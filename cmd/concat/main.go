@@ -103,7 +103,7 @@ var errCasesFailed = errors.New("test cases failed")
 
 func main() {
 	// When the executor re-executes this binary as a case server (the
-	// ServerEnv sentinel is set), serve the one case and exit before any
+	// ServerEnv sentinel is set), serve its cases and exit before any
 	// argument handling.
 	core.MaybeServeCase()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -175,9 +175,9 @@ func run(args []string, w io.Writer) error {
 	case "work":
 		return cmdWork(rest, w)
 	case "run-case":
-		// Hidden: the subprocess-isolation case server (see -isolate). Reads
-		// one case request on stdin, writes the result on stdout.
-		return core.ServeOneCase(os.Stdin, w)
+		// Hidden: the case server behind -isolate and -pool. Reads batch
+		// frames on stdin, writes result frames on stdout until stdin closes.
+		return testexec.ServeCaseBatches(os.Stdin, w, core.CaseResolver())
 	case "help", "-h", "--help":
 		printUsage(w)
 		return nil

@@ -21,8 +21,8 @@ import (
 
 // TestMain doubles this test binary as a case server (see the same pattern
 // in internal/sandbox/hostile): when spawned with ServerEnv set it serves
-// isolated cases — one-shot or the warm-pool batch loop, per the
-// sentinel's value — and exits instead of running the tests.
+// isolated cases over the batch protocol both child modes share, and
+// exits instead of running the tests.
 func TestMain(m *testing.M) {
 	if served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, hostile.CaseResolver()); served {
 		if err != nil {

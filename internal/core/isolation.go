@@ -8,7 +8,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"concat/internal/analysis"
@@ -64,18 +63,10 @@ func CaseResolver() testexec.Resolver {
 	}
 }
 
-// ServeOneCase serves exactly one isolated case over the given streams —
-// the body of the hidden `concat run-case` subcommand.
-func ServeOneCase(r io.Reader, w io.Writer) error {
-	return testexec.ServeCase(r, w, CaseResolver())
-}
-
 // MaybeServeCase checks the executor's ServerEnv sentinel and, when set,
-// turns the current process into a case server on stdin/stdout and exits:
-// the warm-pool batch server when the sentinel selects it, the one-shot
-// single-case server otherwise. Call it first thing in main() of any
-// binary that should be usable as its own sandbox; it returns (doing
-// nothing) in a normal invocation.
+// turns the current process into a case server on stdin/stdout and exits.
+// Call it first thing in main() of any binary that should be usable as its
+// own sandbox; it returns (doing nothing) in a normal invocation.
 func MaybeServeCase() {
 	served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, CaseResolver())
 	if !served {

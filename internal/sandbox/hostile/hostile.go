@@ -50,13 +50,14 @@ const (
 	FloodReporter    Behavior = "flood-reporter"     // Reporter writes until stopped
 	Exit             Behavior = "exit"               // Poke calls os.Exit(66) — fatal, needs isolation
 	Recurse          Behavior = "recurse"            // Poke recurses off the stack — fatal, needs isolation
-	// ExitMidBatch is the warm-pool crash probe: instances count their
+	// ExitMidBatch is the process-reuse probe: instances count their
 	// construction process-wide, and Poke calls os.Exit(66) from every
-	// instance after the first — so a worker process serving a batch
-	// survives its first case and dies mid-batch on its second. Under
-	// spawn-per-case isolation every case is the first in its process and
-	// the behavior never fires; in-process it is as fatal as Exit. It lives
-	// outside Behaviors()/FatalBehaviors() for exactly those reasons.
+	// instance after the first — so a warm IsolatePool worker serving a
+	// batch survives its first case and dies mid-batch on its second.
+	// IsolateSubprocess discards its worker after every one-case batch, so
+	// every case is the first in its process and the behavior never fires;
+	// in-process it is as fatal as Exit. It lives outside
+	// Behaviors()/FatalBehaviors() for exactly those reasons.
 	ExitMidBatch Behavior = "exit-mid-batch"
 )
 

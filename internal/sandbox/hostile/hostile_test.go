@@ -18,9 +18,9 @@ import (
 )
 
 // TestMain doubles this test binary as a case server: when the executor
-// spawns it with ServerEnv set, it serves isolated cases (one-shot or the
-// warm-pool batch loop, per the sentinel's value) and exits instead of
-// running the test suite. This is the standard pattern for exercising
+// spawns it with ServerEnv set, it serves isolated cases over the batch
+// protocol both child modes share and exits instead of running the test
+// suite. This is the standard pattern for exercising
 // subprocess isolation from a test.
 func TestMain(m *testing.M) {
 	if served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, hostile.CaseResolver()); served {
@@ -156,28 +156,117 @@ func isolatedOpts(t *testing.T, ctx hostile.Context) testexec.Options {
 	}
 }
 
+// childModes are the two child-process isolation modes: one fresh process
+// per case, and warm workers reused across batches.
+var childModes = []struct {
+	name string
+	mode testexec.IsolationMode
+}{
+	{"subprocess", testexec.IsolateSubprocess},
+	{"pool", testexec.IsolatePool},
+}
+
+// fatalDetail is the deterministic summary each fatal behavior leaves in
+// the crash outcome of the case whose server it killed.
+var fatalDetail = map[hostile.Behavior]string{
+	hostile.Exit:    "exit status 66",
+	hostile.Recurse: "stack overflow",
+}
+
+// assertFatalContained runs a one-case suite of fatal behavior b under the
+// given child-mode options and checks the parent recorded a crash outcome
+// with b's deterministic summary.
+func assertFatalContained(t *testing.T, b hostile.Behavior, opts testexec.Options) {
+	t.Helper()
+	rep, err := testexec.Run(suiteFor(b, 1), hostile.NewFactory(b), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	res := rep.Results[0]
+	if res.Outcome != testexec.OutcomePanic {
+		t.Fatalf("outcome = %s (detail %q), want crash", res.Outcome, res.Detail)
+	}
+	if !strings.Contains(res.Detail, "fatal subprocess failure") ||
+		!strings.Contains(res.Detail, fatalDetail[b]) {
+		t.Errorf("detail = %q, want fatal summary containing %q", res.Detail, fatalDetail[b])
+	}
+}
+
 // TestIsolationContainsFatalBehaviors is the crash-containment proof: a
 // component that calls os.Exit or exhausts the stack kills only its case
 // server; the parent records a crash outcome with a deterministic summary.
+// TestPoolContainsFatalBehaviors makes the same claim for warm workers.
 func TestIsolationContainsFatalBehaviors(t *testing.T) {
-	wantDetail := map[hostile.Behavior]string{
-		hostile.Exit:    "exit status 66",
-		hostile.Recurse: "stack overflow",
-	}
 	for _, b := range hostile.FatalBehaviors() {
 		t.Run(string(b), func(t *testing.T) {
-			opts := isolatedOpts(t, hostile.Context{Behavior: b})
-			rep, err := testexec.Run(suiteFor(b, 1), hostile.NewFactory(b), opts)
+			assertFatalContained(t, b, isolatedOpts(t, hostile.Context{Behavior: b}))
+		})
+	}
+}
+
+// TestSubMillisecondTimeoutSurvivesTheWire: a CaseTimeout with a
+// sub-millisecond part must reach the child at full resolution. Carried in
+// whole milliseconds, 1500µs would time out at 1ms in a child (and a
+// sub-millisecond timeout would become no timeout at all), so the
+// isolated report would differ from the in-process one.
+func TestSubMillisecondTimeoutSurvivesTheWire(t *testing.T) {
+	s := suiteFor(hostile.InfiniteLoop, 2)
+	const timeout = 1500 * time.Microsecond
+	want, err := testexec.Run(s, hostile.NewFactory(hostile.InfiniteLoop),
+		testexec.Options{Seed: 42, CaseTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range want.Results {
+		if res.Outcome != testexec.OutcomeTimeout || !strings.Contains(res.Detail, "1.5ms") {
+			t.Fatalf("in-process reference: %s %q, want a 1.5ms timeout", res.Outcome, res.Detail)
+		}
+	}
+	for _, m := range childModes {
+		t.Run(m.name, func(t *testing.T) {
+			opts := isolatedOpts(t, hostile.Context{Behavior: hostile.InfiniteLoop})
+			opts.Isolation = m.mode
+			opts.CaseTimeout = timeout
+			rep, err := testexec.Run(s, hostile.NewFactory(hostile.InfiniteLoop), opts)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			res := rep.Results[0]
-			if res.Outcome != testexec.OutcomePanic {
-				t.Fatalf("outcome = %s (detail %q), want crash", res.Outcome, res.Detail)
+			for i, got := range rep.Results {
+				ref := want.Results[i]
+				if got.Outcome != ref.Outcome || got.Detail != ref.Detail || got.Transcript != ref.Transcript {
+					t.Errorf("case %s differs from in-process:\nisolated:   %s %q %q\nin-process: %s %q %q",
+						ref.CaseID, got.Outcome, got.Detail, got.Transcript, ref.Outcome, ref.Detail, ref.Transcript)
+				}
 			}
-			if !strings.Contains(res.Detail, "fatal subprocess failure") ||
-				!strings.Contains(res.Detail, wantDetail[b]) {
-				t.Errorf("detail = %q, want fatal summary containing %q", res.Detail, wantDetail[b])
+		})
+	}
+}
+
+// TestSubprocessRunsEveryCaseInAFreshProcess pins what -isolate promises:
+// one process per case. ExitMidBatch dies on the second case any process
+// serves, so under IsolateSubprocess every case must pass, serially and
+// in parallel. (On one warm IsolatePool worker the same suite unfolds as
+// pass/crash/pass/crash; see TestPoolMidBatchCrashRedispatchesExactlyOnce.)
+func TestSubprocessRunsEveryCaseInAFreshProcess(t *testing.T) {
+	s := suiteFor(hostile.ExitMidBatch, 4)
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			opts := isolatedOpts(t, hostile.Context{Behavior: hostile.ExitMidBatch})
+			opts.Parallelism = par
+			// The pool knobs must not leak into -isolate: a batch of 4 on
+			// one worker would crash every second case.
+			opts.BatchSize, opts.PoolSize = 4, 1
+			rep, err := testexec.Run(s, hostile.NewFactory(hostile.ExitMidBatch), opts)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if len(rep.Results) != len(s.Cases) {
+				t.Fatalf("got %d results, want %d", len(rep.Results), len(s.Cases))
+			}
+			for _, res := range rep.Results {
+				if res.Outcome != testexec.OutcomePass {
+					t.Errorf("case %s: outcome %s (detail %q), want pass — the case shared a process", res.CaseID, res.Outcome, res.Detail)
+				}
 			}
 		})
 	}

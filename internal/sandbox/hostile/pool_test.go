@@ -1,10 +1,10 @@
-// Regression suite for the warm worker pool (IsolatePool): the pool must
-// keep every containment guarantee spawn-per-case isolation earned —
-// fatal cases kill only their worker, a mid-batch death consumes exactly
-// the in-flight case and re-dispatches the rest once, a wedged worker is
-// backstop-killed, a dirty worker (abandoned timeout goroutine) is never
-// reused — all while classifications stay byte-identical to the spawn
-// path.
+// Regression suite for the warm worker pool (IsolatePool): reusing
+// workers across batches must keep every containment guarantee of
+// IsolateSubprocess, which gives each case its own process — fatal cases
+// kill only their worker, a mid-batch death consumes exactly the in-flight
+// case and re-dispatches the rest once, a wedged worker is backstop-killed,
+// a dirty worker (abandoned timeout goroutine) is never reused — all while
+// classifications stay byte-identical to IsolateSubprocess.
 package hostile_test
 
 import (
@@ -83,7 +83,7 @@ func TestPoolMidBatchCrashRedispatchesExactlyOnce(t *testing.T) {
 		}
 		if res.Outcome == testexec.OutcomePanic &&
 			(!strings.Contains(res.Detail, "fatal subprocess failure") || !strings.Contains(res.Detail, "exit status 66")) {
-			t.Errorf("case %s: crash detail %q, want the spawn-path fatal summary", res.CaseID, res.Detail)
+			t.Errorf("case %s: crash detail %q, want the fatal summary", res.CaseID, res.Detail)
 		}
 	}
 	st := p.Stats()
@@ -110,25 +110,9 @@ func TestPoolMidBatchCrashRedispatchesExactlyOnce(t *testing.T) {
 // a worker killed by os.Exit or stack exhaustion yields the same crash
 // outcome with the same deterministic summary, batch dispatch or not.
 func TestPoolContainsFatalBehaviors(t *testing.T) {
-	wantDetail := map[hostile.Behavior]string{
-		hostile.Exit:    "exit status 66",
-		hostile.Recurse: "stack overflow",
-	}
 	for _, b := range hostile.FatalBehaviors() {
 		t.Run(string(b), func(t *testing.T) {
-			opts := pooledOpts(t, hostile.Context{Behavior: b})
-			rep, err := testexec.Run(suiteFor(b, 1), hostile.NewFactory(b), opts)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			res := rep.Results[0]
-			if res.Outcome != testexec.OutcomePanic {
-				t.Fatalf("outcome = %s (detail %q), want crash", res.Outcome, res.Detail)
-			}
-			if !strings.Contains(res.Detail, "fatal subprocess failure") ||
-				!strings.Contains(res.Detail, wantDetail[b]) {
-				t.Errorf("detail = %q, want fatal summary containing %q", res.Detail, wantDetail[b])
-			}
+			assertFatalContained(t, b, pooledOpts(t, hostile.Context{Behavior: b}))
 		})
 	}
 }
@@ -167,7 +151,7 @@ func TestPoolMatchesSubprocessReports(t *testing.T) {
 
 // TestPoolBackstopKillsWedgedWorker: a worker hung beyond cooperation (no
 // in-child CaseTimeout to trip) is killed at the parent's deadline with
-// the spawn path's timeout classification, and the batch's remaining case
+// the backstop timeout classification, and the batch's remaining case
 // is re-dispatched to a fresh worker — the budget-kill restart path.
 func TestPoolBackstopKillsWedgedWorker(t *testing.T) {
 	opts := pooledOpts(t, hostile.Context{Behavior: hostile.InfiniteLoop})

@@ -251,8 +251,7 @@ func startWorker(cfg Config) (*Worker, error) {
 	cmd.Stderr = stderr
 	cmd.Env = append(os.Environ(), cfg.Env...)
 	// Its own process group, so killing a wedged worker reaches descendants
-	// too — same containment stance as the spawn-per-case path. WaitDelay
-	// keeps an orphaned descendant holding the stderr pipe from wedging Wait.
+	// too. WaitDelay keeps an orphaned descendant holding the stderr pipe from wedging Wait.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	cmd.WaitDelay = 2 * time.Second
 	if err := cmd.Start(); err != nil {
@@ -354,9 +353,8 @@ func (w *Worker) wait() {
 }
 
 // Fate reaps a worker whose stream ended and classifies its death: the
-// exit code plus the same deterministic fatal summary the spawn-per-case
-// path derives (the runtime's "fatal error:"/"panic:" line from stderr, or
-// the exit status). Call it only after Recv reported a stream error.
+// exit code plus sandbox.SummarizeFatal's deterministic summary (the
+// runtime's "fatal error:"/"panic:" line from stderr, or the exit status). Call it only after Recv reported a stream error.
 func (w *Worker) Fate() (exitCode int, summary string) {
 	w.stdin.Close()
 	w.wait()

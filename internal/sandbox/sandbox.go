@@ -14,9 +14,10 @@
 //     of them.
 //   - Retry: deterministic retry with exponential backoff for harness-level
 //     transient errors (subprocess spawn failure, fork contention).
-//   - RunProcess: a resource-bounded subprocess runner with deterministic
-//     classification of abnormal exits, the substrate of the executor's
-//     crash-containment isolation mode.
+//   - SummarizeFatal: the deterministic one-line classification of a child
+//     process's abnormal exit. The worker pool (package pool), which runs
+//     the executor's crash-containment case servers, classifies every dead
+//     worker with it.
 //
 // Everything here is deliberately free of policy: the executor decides what
 // a budget covers and how an exit status maps onto a case outcome; sandbox

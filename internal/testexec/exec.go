@@ -267,13 +267,13 @@ type Options struct {
 	// goroutines still spinning past their deadline). Either way the
 	// per-run abandonment count lands in Report.AbandonedGoroutines.
 	LeakLedger *sandbox.Ledger
-	// Isolation selects the crash-containment mode. IsolateSubprocess
-	// re-executes every case in a child case server so fatal mutant
+	// Isolation selects the crash-containment mode. IsolateSubprocess and
+	// IsolatePool execute cases in child case servers so fatal mutant
 	// failures (stack exhaustion, os.Exit, OOM kill) become recorded
 	// OutcomePanic results instead of harness deaths.
 	Isolation IsolationMode
 	// IsolationCommand is the argv of the case server to spawn under
-	// IsolateSubprocess. Empty defaults to re-executing this binary with a
+	// either child mode. Empty defaults to re-executing this binary with a
 	// `run-case` argument (the concat CLI's hidden subcommand); test
 	// binaries typically pass their own os.Executable() plus a ServerEnv
 	// check in TestMain.
@@ -298,6 +298,8 @@ type Options struct {
 	// PoolSize bounds the number of warm worker processes under
 	// IsolatePool; zero derives it from Parallelism (minimum 1). Like the
 	// other scheduling knobs it never changes results — only wall-clock.
+	// IsolateSubprocess ignores PoolSize, BatchSize and WorkerPool: it runs
+	// one case per worker on a private pool of Parallelism workers.
 	PoolSize int
 	// BatchSize is the number of cases dispatched to a pool worker per
 	// round-trip under IsolatePool; zero applies DefaultBatchSize.
@@ -384,26 +386,20 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 				res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
 			}
 		}()
-		if opts.Isolation == IsolateSubprocess {
-			// The child process is the case's fresh world; forking and
-			// provider resolution happen behind the case server's resolver.
-			res = runCaseIsolated(s.Component, tc, opts, seed, caseSpan, caseTel)
-		} else {
-			// Components whose instances share mutable context
-			// (component.Forker) get a fresh world per case: without this, a
-			// case's transcript depends on what earlier — or, under
-			// parallelism, concurrent — cases left behind in the shared state.
-			cf, caseOpts := f, opts
-			if fk, ok := f.(component.Forker); ok {
-				cf = fk.Fork()
-				if ps, ok := cf.(interface {
-					Providers() map[string]domain.Provider
-				}); ok && caseOpts.Providers != nil {
-					caseOpts.Providers = ps.Providers()
-				}
+		// Components whose instances share mutable context
+		// (component.Forker) get a fresh world per case: without this, a
+		// case's transcript depends on what earlier — or, under
+		// parallelism, concurrent — cases left behind in the shared state.
+		cf, caseOpts := f, opts
+		if fk, ok := f.(component.Forker); ok {
+			cf = fk.Fork()
+			if ps, ok := cf.(interface {
+				Providers() map[string]domain.Provider
+			}); ok && caseOpts.Providers != nil {
+				caseOpts.Providers = ps.Providers()
 			}
-			res = runCaseBounded(tc, cf, spec, caseOpts, seed, ledger, caseSpan.ID(), caseTel)
 		}
+		res = runCaseBounded(tc, cf, spec, caseOpts, seed, ledger, caseSpan.ID(), caseTel)
 		res.Seed = seed
 		if opts.Oracle != nil && res.Outcome == OutcomePass {
 			if err := opts.Oracle.Check(tc.ID, res.Transcript); err != nil {
@@ -453,8 +449,8 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 		suiteSpan.End()
 		opts.Metrics.Inc("suite.runs", 1)
 	}
-	if opts.Isolation == IsolatePool {
-		// Warm worker pool: batched dispatch replaces the per-case runOne
+	if opts.Isolation == IsolateSubprocess || opts.Isolation == IsolatePool {
+		// Child processes: batched dispatch replaces the per-case runOne
 		// loop; all per-case bookkeeping (spans, oracle, telemetry, metrics)
 		// happens inside the dispatcher with the same rules.
 		results, err := runPooled(s, opts, suiteSpan, suiteTel)

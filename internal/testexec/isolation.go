@@ -1,29 +1,27 @@
-// Crash containment: the subprocess isolation mode. In-process execution
-// recovers panics, but Go offers no recovery from a fatal runtime error —
-// stack exhaustion, out-of-memory — and none from code that calls os.Exit;
-// any of those in one mutant kills the whole campaign. Under
-// IsolateSubprocess the executor re-executes each case in a child process
-// (the hidden `concat run-case` subcommand, or any binary that calls
-// ServeCase when ServerEnv is set) and classifies fatal child deaths from
-// the exit status into OutcomePanic — the paper's criterion (i), "the
-// program crashed while running the test cases", surviving the crash it
-// records.
+// Crash containment in child processes. In-process execution recovers
+// panics, but Go offers no recovery from a fatal runtime error — stack
+// exhaustion, out-of-memory — and none from code that calls os.Exit; any of
+// those in one mutant kills the whole campaign. Both child modes therefore
+// run cases in case-server processes (the hidden `concat run-case`
+// subcommand, or any binary that calls ServeFromEnv when ServerEnv is set)
+// and classify a child's fatal death from its exit status into
+// OutcomePanic — the paper's criterion (i), "the program crashed while
+// running the test cases", surviving the crash it records.
+//
+// There is one child-process path, the batch dispatcher in pool_exec.go,
+// with two recycle policies: IsolateSubprocess sends one case per batch and
+// discards the worker afterwards, so every case gets a fresh process;
+// IsolatePool keeps workers warm across batches and recycles one only when
+// it crashes, blows its deadline, or finishes a batch dirty.
 package testexec
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"runtime/debug"
+	"math"
 	"time"
 
-	"concat/internal/bit"
 	"concat/internal/component"
 	"concat/internal/domain"
-	"concat/internal/driver"
-	"concat/internal/obs"
-	"concat/internal/sandbox"
 )
 
 // DefaultIsolationBackstop is the parent-side kill deadline for an
@@ -42,7 +40,13 @@ func isolationDeadline(opts Options) time.Duration {
 		return opts.IsolationBackstop
 	}
 	if opts.CaseTimeout > 0 {
-		return 2*opts.CaseTimeout + 30*time.Second
+		const slack = 30 * time.Second
+		if opts.CaseTimeout > (math.MaxInt64-slack)/2 {
+			// Saturate: a huge CaseTimeout must not wrap into a negative
+			// deadline that kills every child at once.
+			return math.MaxInt64
+		}
+		return 2*opts.CaseTimeout + slack
 	}
 	return DefaultIsolationBackstop
 }
@@ -55,23 +59,24 @@ const (
 	// panics are recovered, but fatal runtime errors and os.Exit are not
 	// survivable.
 	IsolateInProcess IsolationMode = iota
-	// IsolateSubprocess re-executes every case in a child process running a
-	// case server (ServeCase); fatal failures become per-case OutcomePanic
+	// IsolateSubprocess runs every case in its own child process: batches
+	// of one case, each on a fresh case server (ServeCaseBatches) that is
+	// discarded afterwards. Fatal failures become per-case OutcomePanic
 	// results classified from the exit status.
 	IsolateSubprocess
 	// IsolatePool keeps the subprocess containment but amortizes process
 	// startup: cases are dispatched in batches to a pool of long-lived
-	// worker processes (ServeCaseBatches), each case still executing
-	// against a freshly resolved component. Workers are restarted only on
-	// crash, deadline kill, or a dirty batch, and a mid-batch death
-	// consumes exactly the in-flight case — classifications are
-	// byte-identical to IsolateSubprocess.
+	// worker processes, each case still executing against a freshly
+	// resolved component. Workers are restarted only on crash, deadline
+	// kill, or a dirty batch, and a mid-batch death consumes exactly the
+	// in-flight case — classifications are byte-identical to
+	// IsolateSubprocess.
 	IsolatePool
 )
 
 // ServerEnv is the environment sentinel the executor sets when spawning a
 // case server. A binary that wants to be usable as its own sandbox calls
-// ServeCase from main (or TestMain) when this variable is set.
+// ServeFromEnv first thing in main (or TestMain).
 const ServerEnv = "CONCAT_CASE_SERVER"
 
 // Resolved is a Resolver's answer: the factory to run the case against,
@@ -88,213 +93,3 @@ type Resolved struct {
 // Resolver maps a component name plus the run's opaque isolation context
 // onto the component to execute. It runs inside the case server process.
 type Resolver func(componentName string, context json.RawMessage) (Resolved, error)
-
-// caseRequest is the parent-to-child wire form of one isolated case.
-type caseRequest struct {
-	Component           string          `json:"component"`
-	Case                driver.TestCase `json:"case"`
-	Seed                int64           `json:"seed"`
-	SkipInvariantChecks bool            `json:"skipInvariantChecks,omitempty"`
-	SkipReporter        bool            `json:"skipReporter,omitempty"`
-	CaseTimeoutMS       int64           `json:"caseTimeoutMs,omitempty"`
-	StepBudget          int64           `json:"stepBudget,omitempty"`
-	MaxTranscriptBytes  int64           `json:"maxTranscriptBytes,omitempty"`
-	Context             json.RawMessage `json:"context,omitempty"`
-	// Trace asks the child to collect its call spans and ship them back
-	// piggybacked on CaseResult.Extra (see obs.WrapExtra).
-	Trace bool `json:"trace,omitempty"`
-}
-
-// caseResponse is the child-to-parent wire form. A child that dies before
-// writing it is classified from its exit status instead.
-type caseResponse struct {
-	Result *CaseResult `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
-	// BITSites carries the case's assertion-site telemetry back to the
-	// parent in its own field — never on CaseResult.Extra, whose bytes must
-	// stay identical between isolated and in-process runs. Empty when the
-	// case timed out (timeout telemetry is dropped on both paths).
-	BITSites []bit.SiteRecord `json:"bitSites,omitempty"`
-}
-
-// ServeCase is the case-server entry point: it reads one caseRequest from
-// r, executes it against the resolver's component, and writes the
-// caseResponse to w. Resolution and execution errors are reported in-band;
-// the returned error covers only I/O on r/w. Fatal failures of the code
-// under test kill this process by design — that is the containment the
-// parent classifies.
-func ServeCase(r io.Reader, w io.Writer, resolve Resolver) error {
-	// A small stack cap makes stack-exhaustion mutants die fast and cheap;
-	// the parent sees the same deterministic "fatal error: stack overflow"
-	// either way.
-	debug.SetMaxStack(64 << 20)
-
-	respond := func(resp caseResponse) error {
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			return fmt.Errorf("testexec: case server writing response: %w", err)
-		}
-		return nil
-	}
-	var req caseRequest
-	if err := json.NewDecoder(r).Decode(&req); err != nil {
-		return respond(caseResponse{Error: fmt.Sprintf("decoding case request: %v", err)})
-	}
-	if resolve == nil {
-		return respond(caseResponse{Error: "case server has no resolver"})
-	}
-	resolved, err := resolve(req.Component, req.Context)
-	if err != nil {
-		return respond(caseResponse{Error: fmt.Sprintf("resolving %q: %v", req.Component, err)})
-	}
-	f := resolved.Factory
-	if f == nil {
-		return respond(caseResponse{Error: fmt.Sprintf("resolver returned no factory for %q", req.Component)})
-	}
-	opts := Options{
-		Providers:           resolved.Providers,
-		SkipInvariantChecks: req.SkipInvariantChecks,
-		SkipReporter:        req.SkipReporter,
-		CaseTimeout:         time.Duration(req.CaseTimeoutMS) * time.Millisecond,
-		StepBudget:          req.StepBudget,
-		MaxTranscriptBytes:  req.MaxTranscriptBytes,
-	}
-	if req.Trace {
-		// Collect the child's call spans in memory; they travel back to the
-		// parent inside Extra and are re-parented under the spawn span there.
-		opts.Trace = obs.NewCollector()
-	}
-	// The child process is the case's fresh world — no Forker dance needed;
-	// leaked timeout goroutines die with the process.
-	caseTel := bit.NewTelemetry()
-	res := runCaseBounded(req.Case, f, f.Spec(), opts, req.Seed, nil, 0, caseTel)
-	res.Seed = req.Seed
-	if resolved.Finish != nil {
-		res.Extra = resolved.Finish()
-	}
-	if req.Trace {
-		res.Extra = obs.WrapExtra(res.Extra, opts.Trace.Spans())
-	}
-	resp := caseResponse{Result: &res}
-	if res.Outcome != OutcomeTimeout {
-		// A timed-out case's abandoned goroutine may still be recording;
-		// dropping its counts keeps the aggregate deterministic, matching
-		// the in-process merge rule.
-		resp.BITSites = caseTel.Records()
-	}
-	return respond(resp)
-}
-
-// runCaseIsolated executes one case in a child case server and classifies
-// the child's fate into a CaseResult. Spawn failures are retried under the
-// transient-error policy; every other failure mode is deterministic.
-func runCaseIsolated(componentName string, tc driver.TestCase, opts Options, seed int64, caseSpan *obs.ActiveSpan, tel *bit.Telemetry) CaseResult {
-	base := CaseResult{CaseID: tc.ID, Transaction: tc.Transaction, Seed: seed}
-	spawn := opts.Trace.Start(caseSpan.ID(), obs.KindSpawn, tc.ID)
-	defer spawn.End()
-	req := caseRequest{
-		Component:           componentName,
-		Case:                tc,
-		Seed:                seed,
-		SkipInvariantChecks: opts.SkipInvariantChecks,
-		SkipReporter:        opts.SkipReporter,
-		CaseTimeoutMS:       opts.CaseTimeout.Milliseconds(),
-		StepBudget:          opts.StepBudget,
-		MaxTranscriptBytes:  opts.MaxTranscriptBytes,
-		Context:             opts.IsolationContext,
-		Trace:               opts.Trace != nil,
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		spawn.SetAttr("exit", "encode-error")
-		base.Outcome = OutcomeError
-		base.Detail = fmt.Sprintf("encoding isolated case request: %v", err)
-		return base
-	}
-	argv := opts.IsolationCommand
-	if len(argv) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			spawn.SetAttr("exit", "exe-error")
-			base.Outcome = OutcomeError
-			base.Detail = fmt.Sprintf("resolving executable for isolation: %v", err)
-			return base
-		}
-		argv = []string{exe, "run-case"}
-	}
-	// The child applies CaseTimeout itself; the parent deadline is a
-	// backstop for a child wedged beyond cooperation. It is always armed:
-	// with no CaseTimeout to derive from, DefaultIsolationBackstop caps the
-	// child so a hard-looping mutant cannot hang the campaign.
-	deadline := isolationDeadline(opts)
-	policy := opts.SpawnRetry
-	if policy.Attempts == 0 {
-		policy = sandbox.DefaultRetryPolicy()
-	}
-	var proc *sandbox.ProcessResult
-	attempts := 0
-	err = sandbox.Retry(policy, func() error {
-		attempts++
-		var spawnErr error
-		proc, spawnErr = sandbox.RunProcess(sandbox.ProcessSpec{
-			Argv:    argv,
-			Stdin:   payload,
-			Env:     append([]string{ServerEnv + "=1"}, opts.IsolationEnv...),
-			Timeout: deadline,
-			Span:    spawn,
-		})
-		return spawnErr
-	})
-	if spawn != nil && attempts > 1 {
-		spawn.SetAttr("attempts", fmt.Sprintf("%d", attempts))
-	}
-	opts.Metrics.Inc("isolation.spawns", 1)
-	if err != nil {
-		spawn.SetAttr("exit", "spawn-error")
-		base.Outcome = OutcomeError
-		base.Detail = fmt.Sprintf("spawning case server: %v", err)
-		return base
-	}
-	if proc.TimedOut {
-		spawn.SetAttr("exit", "backstop-timeout")
-		opts.Metrics.Inc("isolation.backstop-timeouts", 1)
-		base.Outcome = OutcomeTimeout
-		base.Detail = fmt.Sprintf("isolated case exceeded the %v harness deadline; subprocess killed", deadline)
-		return base
-	}
-	var resp caseResponse
-	if decErr := json.Unmarshal(proc.Stdout, &resp); decErr == nil && (resp.Result != nil || resp.Error != "") {
-		if resp.Error != "" {
-			spawn.SetAttr("exit", "server-error")
-			base.Outcome = OutcomeError
-			base.Detail = "case server: " + resp.Error
-			return base
-		}
-		res := *resp.Result
-		res.CaseID, res.Transaction = tc.ID, tc.Transaction
-		tel.MergeRecords(resp.BITSites)
-		if opts.Trace != nil {
-			// Split the child's piggybacked spans off Extra and re-parent
-			// them under the spawn span; the report keeps the exact payload
-			// bytes an untraced run would have carried.
-			payload, childSpans := obs.UnwrapExtra(res.Extra)
-			res.Extra = payload
-			opts.Trace.EmitChildren(spawn.ID(), childSpans)
-		}
-		spawn.SetAttr("exit", "ok")
-		return res
-	}
-	// No usable response: the child died before reporting — the fatal
-	// failure containment is here. A non-zero exit is the mutant killing
-	// the process (criterion (i)); exit 0 with garbage output is a broken
-	// case server, a harness error.
-	if proc.ExitCode != 0 {
-		spawn.SetAttr("exit", "fatal")
-		base.Outcome = OutcomePanic
-		base.Detail = "fatal subprocess failure: " + proc.FatalSummary
-		return base
-	}
-	spawn.SetAttr("exit", "no-result")
-	base.Outcome = OutcomeError
-	base.Detail = "case server exited without a result"
-	return base
-}

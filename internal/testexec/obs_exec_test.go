@@ -6,6 +6,7 @@ package testexec
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,18 +17,28 @@ import (
 )
 
 func TestIsolationDeadlinePrecedence(t *testing.T) {
-	// The regression at the heart of this: with no CaseTimeout the old code
-	// armed no parent deadline at all, so a wedged child hung the campaign
-	// forever. The default backstop must apply.
-	if got := isolationDeadline(Options{}); got != DefaultIsolationBackstop {
-		t.Errorf("isolationDeadline(zero) = %v, want %v", got, DefaultIsolationBackstop)
+	tests := []struct {
+		name string
+		opts Options
+		want time.Duration
+	}{
+		// With no CaseTimeout to derive from, a wedged child would hang the
+		// campaign forever; the default backstop must apply.
+		{"zero", Options{}, DefaultIsolationBackstop},
+		{"derived from CaseTimeout", Options{CaseTimeout: 2 * time.Second}, 34 * time.Second},
+		{"explicit wins", Options{IsolationBackstop: time.Second, CaseTimeout: 2 * time.Second}, time.Second},
+		// 2*CaseTimeout+30s overflows here; a wrapped negative deadline
+		// would report every isolated case as a backstop kill at once.
+		{"huge CaseTimeout saturates", Options{CaseTimeout: 1300000 * time.Hour}, math.MaxInt64},
+		{"largest CaseTimeout saturates", Options{CaseTimeout: math.MaxInt64}, math.MaxInt64},
+		{"last unsaturated CaseTimeout", Options{CaseTimeout: (math.MaxInt64 - 30*time.Second) / 2}, math.MaxInt64 - 1},
 	}
-	if got := isolationDeadline(Options{CaseTimeout: 2 * time.Second}); got != 34*time.Second {
-		t.Errorf("isolationDeadline(CaseTimeout=2s) = %v, want 34s", got)
-	}
-	explicit := Options{IsolationBackstop: time.Second, CaseTimeout: 2 * time.Second}
-	if got := isolationDeadline(explicit); got != time.Second {
-		t.Errorf("isolationDeadline(explicit) = %v, want the explicit 1s", got)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := isolationDeadline(tt.opts); got != tt.want {
+				t.Errorf("isolationDeadline = %v, want %v", got, tt.want)
+			}
+		})
 	}
 }
 

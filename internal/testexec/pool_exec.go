@@ -1,13 +1,16 @@
-// The warm worker pool isolation mode (IsolatePool). Spawn-per-case
-// isolation pays a fork+exec per test case; under a mutation campaign that
-// cost dominates the run. IsolatePool keeps the same case-server contract
-// — fresh world per case, fatal deaths classified from the exit status —
-// but dispatches *batches* of cases to long-lived worker processes over
-// length-prefixed NDJSON frames, restarting a worker only when it crashes,
-// blows its deadline, or finishes a batch dirty (a timed-out case leaves
-// an abandoned goroutine in the worker; reusing that address space would
-// break the fresh-world guarantee). One warm worker also serves many
-// mutants back to back: each batch frame carries its own isolation
+// The child-process path both isolation modes share: the case server
+// (ServeCaseBatches) and the parent-side batch dispatcher (runPooled).
+// Cases travel to worker processes in batches over length-prefixed NDJSON
+// frames; every case executes against a freshly resolved component, and a
+// worker's fatal death is classified from its exit status. What differs is
+// the recycle policy. IsolateSubprocess sends one case per batch and
+// discards the worker after it, so each case pays a fork+exec for a fresh
+// process. IsolatePool amortizes that cost, which dominates a mutation
+// campaign: workers stay warm across batches and are restarted only when
+// one crashes, blows its deadline, or finishes a batch dirty (a timed-out
+// case leaves an abandoned goroutine in the worker; reusing that address
+// space would break the fresh-world guarantee). One warm worker also serves
+// many mutants back to back: each batch frame carries its own isolation
 // context, so a campaign re-arms mutants on the child side without any
 // per-mutant provisioning — the mutant-schemata amortization.
 package testexec
@@ -28,9 +31,8 @@ import (
 	"concat/internal/sandbox/pool"
 )
 
-// BatchServerValue is the ServerEnv value that selects the batch case
-// server (ServeCaseBatches). Any other non-empty value selects the
-// single-case server (ServeCase), preserving the PR-2 wire contract.
+// BatchServerValue is the ServerEnv value the executor sets when it spawns
+// a case server. ServeFromEnv serves batches for any non-empty value.
 const BatchServerValue = "batch"
 
 // DefaultBatchSize is the number of cases dispatched per worker
@@ -46,7 +48,7 @@ type batchRequest struct {
 	Component           string          `json:"component"`
 	SkipInvariantChecks bool            `json:"skipInvariantChecks,omitempty"`
 	SkipReporter        bool            `json:"skipReporter,omitempty"`
-	CaseTimeoutMS       int64           `json:"caseTimeoutMs,omitempty"`
+	CaseTimeout         time.Duration   `json:"caseTimeoutNs,omitempty"`
 	StepBudget          int64           `json:"stepBudget,omitempty"`
 	MaxTranscriptBytes  int64           `json:"maxTranscriptBytes,omitempty"`
 	Context             json.RawMessage `json:"context,omitempty"`
@@ -77,31 +79,27 @@ type batchResponse struct {
 }
 
 // ServeFromEnv checks the ServerEnv sentinel and, when set, turns the
-// current process into a case server on r/w: the batch server when the
-// value is BatchServerValue, the single-case server otherwise. It returns
+// current process into a case server (ServeCaseBatches) on r/w. It returns
 // false (doing nothing) when the sentinel is unset — call it first thing
 // in main or TestMain of any binary that should be usable as its own
 // sandbox, and exit when it returns true.
 func ServeFromEnv(r io.Reader, w io.Writer, resolve Resolver) (bool, error) {
-	switch os.Getenv(ServerEnv) {
-	case "":
+	if os.Getenv(ServerEnv) == "" {
 		return false, nil
-	case BatchServerValue:
-		return true, ServeCaseBatches(r, w, resolve)
-	default:
-		return true, ServeCase(r, w, resolve)
 	}
+	return true, ServeCaseBatches(r, w, resolve)
 }
 
-// ServeCaseBatches is the warm worker's serve loop: read a batchRequest
+// ServeCaseBatches is the case server's serve loop: read a batchRequest
 // frame, execute its cases in order — each against a freshly resolved
-// component, so every case keeps the fresh-world semantics of
-// spawn-per-case isolation — streaming one batchResponse frame per case
-// plus a Done frame, until stdin closes. Fatal failures of the code under
+// component, so every case keeps fresh-world semantics even on a warm
+// worker — streaming one batchResponse frame per case plus a Done frame,
+// until r closes. Resolution and execution errors are reported in-band; the
+// returned error covers only I/O on r/w. Fatal failures of the code under
 // test kill this process mid-batch by design; the parent classifies the
 // death and re-dispatches the batch's remaining cases to a fresh worker.
 func ServeCaseBatches(r io.Reader, w io.Writer, resolve Resolver) error {
-	// Same small stack cap as ServeCase: stack-exhaustion mutants die fast
+	// A small stack cap makes stack-exhaustion mutants die fast and cheap
 	// with the same deterministic "fatal error: stack overflow".
 	debug.SetMaxStack(64 << 20)
 	br := bufio.NewReader(r)
@@ -152,9 +150,10 @@ func ServeCaseBatches(r io.Reader, w io.Writer, resolve Resolver) error {
 	}
 }
 
-// serveBatchItem executes one batch case exactly the way ServeCase would:
-// fresh resolution (fresh factory, fresh mutation engine), bounded run,
-// Finish/trace piggybacked on Extra, telemetry dropped on timeout.
+// serveBatchItem executes one batch case: fresh resolution (fresh factory,
+// fresh mutation engine), bounded run, Finish/trace piggybacked on Extra,
+// telemetry dropped on timeout. The process is the case's fresh world, so
+// no Forker dance is needed and no leak ledger is kept.
 func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchResponse {
 	if resolve == nil {
 		return batchResponse{Error: "case server has no resolver"}
@@ -171,11 +170,13 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 		Providers:           resolved.Providers,
 		SkipInvariantChecks: req.SkipInvariantChecks,
 		SkipReporter:        req.SkipReporter,
-		CaseTimeout:         time.Duration(req.CaseTimeoutMS) * time.Millisecond,
+		CaseTimeout:         req.CaseTimeout,
 		StepBudget:          req.StepBudget,
 		MaxTranscriptBytes:  req.MaxTranscriptBytes,
 	}
 	if req.Trace {
+		// Collect the child's call spans in memory; they travel back inside
+		// Extra and are re-parented under the dispatch span by the parent.
 		opts.Trace = obs.NewCollector()
 	}
 	caseTel := bit.NewTelemetry()
@@ -189,18 +190,20 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 	}
 	resp := batchResponse{Result: &res}
 	if res.Outcome != OutcomeTimeout {
+		// A timed-out case's abandoned goroutine may still be recording;
+		// dropping its counts keeps the aggregate deterministic, matching
+		// the in-process merge rule.
 		resp.BITSites = caseTel.Records()
 	}
 	return resp
 }
 
-// NewWorkerPool builds the warm worker pool Run uses under IsolatePool,
-// resolving the worker argv the same way spawn-per-case isolation does
-// (Options.IsolationCommand, defaulting to re-executing this binary with
-// `run-case`) and setting ServerEnv to the batch value. size <= 0 falls
-// back to Options.PoolSize, then Options.Parallelism, then 1. Callers that
-// share one pool across many Run invocations (a mutation campaign) own
-// Close; pass the pool via Options.WorkerPool.
+// NewWorkerPool builds the worker pool Run dispatches to, resolving the
+// worker argv from Options.IsolationCommand (defaulting to re-executing
+// this binary with `run-case`) and setting ServerEnv. size <= 0 falls back
+// to Options.PoolSize, then Options.Parallelism, then 1. Callers that share
+// one pool across many IsolatePool runs (a mutation campaign) own Close;
+// pass the pool via Options.WorkerPool.
 func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 	argv := opts.IsolationCommand
 	if len(argv) == 0 {
@@ -238,12 +241,28 @@ type poolDispatcher struct {
 	results   []CaseResult
 }
 
-// runPooled executes the suite under IsolatePool: cases are cut into
-// batches in suite order, batches are dispatched to warm workers (one
-// dispatcher per Options.Parallelism), and each case's classification is
-// byte-identical to what the spawn-per-case path records — same outcomes,
-// same details, same seeds, same telemetry merge rule.
+// release hands back a worker that finished its batch cleanly: to the idle
+// set under IsolatePool, to the kill under IsolateSubprocess, whose every
+// case must run in a process nothing else has touched.
+func (d *poolDispatcher) release(w *pool.Worker) {
+	if d.opts.Isolation == IsolateSubprocess {
+		d.pool.Discard(w)
+		return
+	}
+	d.pool.Release(w)
+}
+
+// runPooled executes the suite in child processes: cases are cut into
+// batches in suite order and dispatched to workers (one dispatcher per
+// Options.Parallelism), and each case's classification is the same under
+// either recycle policy — same outcomes, same details, same seeds, same
+// telemetry merge rule.
 func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTel *bit.Telemetry) ([]CaseResult, error) {
+	if opts.Isolation == IsolateSubprocess {
+		// One case per batch on a private pool sized by Parallelism; the
+		// pool knobs belong to IsolatePool and do not apply.
+		opts.PoolSize, opts.BatchSize, opts.WorkerPool = 0, 1, nil
+	}
 	p := opts.WorkerPool
 	if p == nil {
 		var err error
@@ -306,9 +325,9 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 
 // dispatchBatch runs cases [start, end) of the suite on pool workers. A
 // worker death mid-batch consumes exactly the in-flight case (classified
-// from the worker's fate, like a spawn-per-case child death) and
-// re-dispatches the batch's remaining cases to a fresh worker exactly
-// once each — a case is never executed twice and never lost.
+// from the worker's fate) and re-dispatches the batch's remaining cases to
+// a fresh worker exactly once each — a case is never executed twice and
+// never lost.
 func (d *poolDispatcher) dispatchBatch(start, end int) {
 	remaining := start
 	sendFailures := 0
@@ -349,7 +368,7 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 		Component:           d.s.Component,
 		SkipInvariantChecks: d.opts.SkipInvariantChecks,
 		SkipReporter:        d.opts.SkipReporter,
-		CaseTimeoutMS:       d.opts.CaseTimeout.Milliseconds(),
+		CaseTimeout:         d.opts.CaseTimeout,
 		StepBudget:          d.opts.StepBudget,
 		MaxTranscriptBytes:  d.opts.MaxTranscriptBytes,
 		Context:             d.opts.IsolationContext,
@@ -379,7 +398,7 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 		frame, err := w.Recv(d.deadline)
 		if err == pool.ErrRecvTimeout {
 			// The worker is wedged beyond cooperation: the parent-side
-			// backstop kill, classified exactly like the spawn path's.
+			// backstop kill.
 			d.pool.Discard(w)
 			d.opts.Metrics.Inc("isolation.backstop-timeouts", 1)
 			res := d.baseResult(i, OutcomeTimeout, fmt.Sprintf("isolated case exceeded the %v harness deadline; subprocess killed", d.deadline))
@@ -388,7 +407,9 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 		}
 		if err != nil {
 			// The worker's stream ended mid-batch: the in-flight case killed
-			// it. Classify from the fate, spawn-path style.
+			// it. A non-zero exit is the code under test killing the process
+			// (criterion (i)); exit 0 without a result is a broken case
+			// server, a harness error.
 			code, summary := w.Fate()
 			d.pool.Discard(w)
 			var res CaseResult
@@ -416,7 +437,7 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 					d.finishCase(j, d.baseResult(j, OutcomeError, "case server: "+resp.Error), "server-error", nil, begin)
 					begin = time.Now()
 				}
-				d.pool.Release(w)
+				d.release(w)
 				return end, true
 			}
 			d.pool.Discard(w)
@@ -441,12 +462,10 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 	}
 	// All items answered; consume the Done frame and honor its Dirty flag.
 	frame, err := w.Recv(d.deadline)
-	if err == nil {
-		var done batchResponse
-		if jsonErr := json.Unmarshal(frame, &done); jsonErr == nil && done.Done && !done.Dirty {
-			d.pool.Release(w)
-			return end, true
-		}
+	var done batchResponse
+	if err == nil && json.Unmarshal(frame, &done) == nil && done.Done && !done.Dirty {
+		d.release(w)
+		return end, true
 	}
 	// Missing or dirty Done frame: every result is in, but the worker is
 	// not a trustworthy fresh world anymore — recycle it.
@@ -455,8 +474,7 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 	return end, true
 }
 
-// baseResult builds the parent-side classification shell for case i,
-// matching the fields the spawn path stamps.
+// baseResult builds the parent-side classification shell for case i.
 func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseResult {
 	tc := d.s.Cases[i]
 	return CaseResult{
@@ -468,8 +486,8 @@ func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseR
 	}
 }
 
-// finishCase applies the per-case bookkeeping Run's in-process/spawn paths
-// do in runOne: case + dispatch spans, child-span re-parenting, oracle
+// finishCase applies the per-case bookkeeping Run's in-process path does
+// in runOne: case + dispatch spans, child-span re-parenting, oracle
 // check (with harness-hook panic containment), telemetry merge (timeouts
 // contribute nothing), metrics, and the index-aligned result store.
 func (d *poolDispatcher) finishCase(i int, res CaseResult, exit string, sites []bit.SiteRecord, begin time.Time) {

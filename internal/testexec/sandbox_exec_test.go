@@ -1,6 +1,8 @@
 package testexec
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -327,5 +329,51 @@ func TestResourceOutcomesIdenticalSerialAndParallel(t *testing.T) {
 func TestOutcomeResourceExhaustedString(t *testing.T) {
 	if got := OutcomeResourceExhausted.String(); got != "resource-exhausted" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestMissingCaseServerBinaryIsSpawnError: when the case server cannot be
+// spawned at all, every case of the run is recorded as a harness error
+// carrying the spawn failure — in both child modes, serial and parallel —
+// and Run itself still succeeds.
+func TestMissingCaseServerBinaryIsSpawnError(t *testing.T) {
+	s := &driver.Suite{Component: "Chaos"}
+	for i := 0; i < 3; i++ {
+		tc := chaosSuite().Cases[0]
+		tc.ID = fmt.Sprintf("TC%d", i)
+		s.Cases = append(s.Cases, tc)
+	}
+	missing := filepath.Join(t.TempDir(), "no-such-case-server")
+	modes := []struct {
+		name string
+		mode IsolationMode
+	}{{"subprocess", IsolateSubprocess}, {"pool", IsolatePool}}
+	for _, m := range modes {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/parallelism=%d", m.name, par), func(t *testing.T) {
+				rep, err := Run(s, &chaosFactory{}, Options{
+					Seed:             7,
+					Isolation:        m.mode,
+					IsolationCommand: []string{missing},
+					Parallelism:      par,
+					BatchSize:        2,
+				})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if len(rep.Results) != len(s.Cases) {
+					t.Fatalf("got %d results, want %d", len(rep.Results), len(s.Cases))
+				}
+				for i, res := range rep.Results {
+					if res.CaseID != s.Cases[i].ID || res.Seed != CaseSeed(7, res.CaseID) {
+						t.Errorf("result %d lost case identity: %+v", i, res)
+					}
+					if res.Outcome != OutcomeError || !strings.HasPrefix(res.Detail, "spawning case server: ") ||
+						!strings.Contains(res.Detail, missing) {
+						t.Errorf("case %s: %s %q, want a spawn error naming %s", res.CaseID, res.Outcome, res.Detail, missing)
+					}
+				}
+			})
+		}
 	}
 }
