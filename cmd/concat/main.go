@@ -83,7 +83,6 @@ import (
 	"concat/internal/driver"
 	"concat/internal/impact"
 	"concat/internal/loadgen"
-	"concat/internal/mutation"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/serve"
@@ -1253,7 +1252,7 @@ func cmdImpact(args []string, w io.Writer) error {
 		Exec:          session.apply(sf.apply(testexec.Options{})),
 		Store:         st,
 		Parallelism:   *parallel,
-		MutantMethods: mutantMethods(t),
+		MutantMethods: t.MutantMethods(),
 	}
 	res, err := r.Run(oldSpec, newSpec)
 	if cerr := session.close(); err == nil {
@@ -1306,26 +1305,6 @@ func cmdImpact(args []string, w io.Writer) error {
 		return fmt.Errorf("impact re-run: %d %w", len(res.Final.Failures()), errCasesFailed)
 	}
 	return nil
-}
-
-// mutantMethods enumerates the target's mutants (over its experiment
-// methods) and returns one method name per mutant, for the impact report's
-// mutant accounting. Components without instrumentation yield nil.
-func mutantMethods(t core.Target) []string {
-	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
-		return nil
-	}
-	eng := mutation.NewEngine()
-	for _, s := range t.Sites {
-		if err := eng.RegisterSite(s); err != nil {
-			return nil
-		}
-	}
-	var out []string
-	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
-		out = append(out, m.Method)
-	}
-	return out
 }
 
 // cmdSpec exports a t-spec — a built-in component's embedded one, or a

@@ -92,6 +92,26 @@ type Target struct {
 	ExperimentMethods []string
 }
 
+// MutantMethods enumerates the target's mutants over its experiment
+// methods, one method name per mutant, for the impact report's mutant
+// accounting. Components without instrumentation yield nil.
+func (t Target) MutantMethods() []string {
+	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
+		return nil
+	}
+	eng := mutation.NewEngine()
+	for _, site := range t.Sites {
+		if err := eng.RegisterSite(site); err != nil {
+			return nil
+		}
+	}
+	var out []string
+	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
+		out = append(out, m.Method)
+	}
+	return out
+}
+
 // Targets returns the built-in study subjects, keyed by component name.
 func Targets() map[string]Target {
 	return map[string]Target{

@@ -420,13 +420,9 @@ func waitTerminal(cl *client, id string, fail func(error)) string {
 // series from a scrape.
 func buildInfoVersion(s *Scrape) string {
 	for series := range s.Samples {
-		if !strings.HasPrefix(series, "concat_build_info{") {
-			continue
-		}
-		if i := strings.Index(series, `version="`); i >= 0 {
-			rest := series[i+len(`version="`):]
-			if j := strings.IndexByte(rest, '"'); j >= 0 {
-				return rest[:j]
+		if rest, ok := strings.CutPrefix(series, "concat_build_info{"); ok {
+			if labels, _, err := parseLabels(rest); err == nil {
+				return labels["version"]
 			}
 		}
 	}

@@ -45,6 +45,10 @@ concat_weird_total{v="a\\b\"c d"} 1
 		"bad value":        "# HELP a b\n# TYPE a counter\na one\n",
 		"duplicate series": "# HELP a b\n# TYPE a counter\na 1\na 2\n",
 		"unbalanced brace": "# HELP a b\n# TYPE a counter\na{x=\"y\" 1\n",
+		"second HELP":      "# HELP a b\n# HELP a c\n# TYPE a counter\na 1\n",
+		"second TYPE":      "# HELP a b\n# TYPE a counter\na 1\n# TYPE a counter\n",
+		"malformed labels": "# HELP a b\n# TYPE a counter\na{x=\"y\"z=\"w\"} 1\n",
+		"repeated label":   "# HELP a b\n# TYPE a counter\na{x=\"y\",x=\"z\"} 1\n",
 		"empty body":       "",
 	} {
 		if _, err := ParseExposition(bad); err == nil {
@@ -121,4 +125,28 @@ func TestRunAgainstService(t *testing.T) {
 	if res.Config.Component != "Account" || res.Config.Seed != 42 {
 		t.Errorf("defaults not applied: %+v", res.Config)
 	}
+}
+
+// FuzzParseExposition feeds arbitrary bodies to the strict parser: it
+// must never panic, and an accepted body must have a declared TYPE for
+// every sample and a well-formed label set on every series.
+func FuzzParseExposition(f *testing.F) {
+	f.Add("# HELP a b\n# TYPE a counter\na 1\n")
+	f.Add("# HELP h d\n# TYPE h histogram\nh_bucket{le=\"+Inf\",k=\"a\\\\b\\\"c\"} 2\nh_sum 0.5\nh_count 2\n")
+	f.Add("# TYPE g gauge\ng{x=\"}{ \"} -1e+06\n")
+	f.Fuzz(func(t *testing.T, body string) {
+		sc, err := ParseExposition(body)
+		if err != nil {
+			return
+		}
+		for series := range sc.Samples {
+			name, labels, hasLabels := strings.Cut(series, "{")
+			if _, ok := sc.Types[sampleFamily(name)]; !ok {
+				t.Errorf("accepted sample %s without a TYPE", series)
+			}
+			if _, rest, err := parseLabels(labels); hasLabels && (err != nil || rest != "") {
+				t.Errorf("accepted series %s with a bad label set (%v, trailing %q)", series, err, rest)
+			}
+		}
+	})
 }

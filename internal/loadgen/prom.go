@@ -40,57 +40,72 @@ func sampleFamily(name string) string {
 	return name
 }
 
-// splitSample splits one sample line into its series name (with any label
-// braces) and its value text, honouring spaces inside quoted label values.
-func splitSample(line string) (series, value string, err error) {
-	// The name may contain {labels} with embedded spaces; the value is the
-	// field after the closing brace, or after the first space for a plain
-	// name.
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		j := closingBrace(line, i)
-		if j < 0 {
-			return "", "", fmt.Errorf("unbalanced label braces in %q", line)
+// isLabelName reports whether s is a valid label name: [a-zA-Z_][a-zA-Z0-9_]*.
+func isLabelName(s string) bool {
+	for i, r := range s {
+		if !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || i > 0 && r >= '0' && r <= '9') {
+			return false
 		}
-		rest := strings.TrimSpace(line[j+1:])
-		if rest == "" {
-			return "", "", fmt.Errorf("sample without value in %q", line)
-		}
-		return line[:j+1], rest, nil
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
-		return "", "", fmt.Errorf("malformed sample line %q", line)
-	}
-	return fields[0], fields[1], nil
+	return s != ""
 }
 
-// closingBrace finds the index of the '}' matching the '{' at open,
-// skipping escaped characters inside quoted label values.
-func closingBrace(line string, open int) int {
-	inQuote := false
-	for i := open + 1; i < len(line); i++ {
-		switch line[i] {
-		case '\\':
-			if inQuote {
-				i++ // skip the escaped character
+// parseLabels reads a label set from just after its opening brace:
+// name="value" pairs separated by commas, values carrying the exposition
+// escapes \\, \" and \n, up to the closing brace. It returns the labels
+// and the text after the brace.
+func parseLabels(s string) (map[string]string, string, error) {
+	labels := map[string]string{}
+	for {
+		if rest, ok := strings.CutPrefix(s, "}"); ok {
+			return labels, rest, nil
+		}
+		eq := strings.Index(s, `="`)
+		if eq < 0 || !isLabelName(s[:eq]) {
+			return nil, "", fmt.Errorf("malformed label set")
+		}
+		name := s[:eq]
+		s = s[eq+2:]
+		var v strings.Builder
+		end := 0
+		for ; end < len(s) && s[end] != '"'; end++ {
+			c := s[end]
+			if c == '\\' && end+1 < len(s) {
+				end++
+				switch c = s[end]; c {
+				case 'n':
+					c = '\n'
+				case '\\', '"':
+				default:
+					return nil, "", fmt.Errorf("bad escape in label %s", name)
+				}
 			}
-		case '"':
-			inQuote = !inQuote
-		case '}':
-			if !inQuote {
-				return i
-			}
+			v.WriteByte(c)
+		}
+		if end == len(s) {
+			return nil, "", fmt.Errorf("unterminated value of label %s", name)
+		}
+		if _, dup := labels[name]; dup {
+			return nil, "", fmt.Errorf("label %s repeated", name)
+		}
+		labels[name] = v.String()
+		s = s[end+1:]
+		if rest, ok := strings.CutPrefix(s, ","); ok {
+			s = rest
+		} else if !strings.HasPrefix(s, "}") {
+			return nil, "", fmt.Errorf("malformed label set")
 		}
 	}
-	return -1
 }
 
 // ParseExposition parses a /metrics body, enforcing the structural
 // invariants of the text format: HELP lines carry a docstring, TYPE lines a
-// known kind, every sample's family was declared by a TYPE line, and no
-// series appears twice.
+// known kind, no family has a second HELP or TYPE line, every sample's
+// family was declared by a TYPE line, every label set is well formed, and
+// no series appears twice.
 func ParseExposition(body string) (*Scrape, error) {
 	scrape := &Scrape{Samples: map[string]float64{}, Types: map[string]string{}}
+	helped := map[string]bool{}
 	sc := bufio.NewScanner(strings.NewReader(body))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -101,9 +116,14 @@ func ParseExposition(body string) (*Scrape, error) {
 			return nil, fmt.Errorf("metrics line %d: blank line", lineNo)
 		}
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			if len(strings.Fields(rest)) < 2 {
+			fields := strings.Fields(rest)
+			if len(fields) < 2 {
 				return nil, fmt.Errorf("metrics line %d: HELP without docstring: %q", lineNo, line)
 			}
+			if helped[fields[0]] {
+				return nil, fmt.Errorf("metrics line %d: second HELP for family %s", lineNo, fields[0])
+			}
+			helped[fields[0]] = true
 			continue
 		}
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
@@ -115,8 +135,8 @@ func ParseExposition(body string) (*Scrape, error) {
 			if !promKinds[kind] {
 				return nil, fmt.Errorf("metrics line %d: unknown kind %q", lineNo, kind)
 			}
-			if prev, ok := scrape.Types[family]; ok && prev != kind {
-				return nil, fmt.Errorf("metrics line %d: family %s re-typed %s -> %s", lineNo, family, prev, kind)
+			if prev, ok := scrape.Types[family]; ok {
+				return nil, fmt.Errorf("metrics line %d: second TYPE for family %s (%s, then %s)", lineNo, family, prev, kind)
 			}
 			scrape.Types[family] = kind
 			continue
@@ -124,13 +144,20 @@ func ParseExposition(body string) (*Scrape, error) {
 		if strings.HasPrefix(line, "#") {
 			continue // comment
 		}
-		series, valueText, err := splitSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("metrics line %d: %w", lineNo, err)
+		name, rest := line, ""
+		if i := strings.IndexAny(line, "{ \t"); i >= 0 {
+			name, rest = line[:i], line[i:]
 		}
-		name := series
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
+		if strings.HasPrefix(rest, "{") {
+			var err error
+			if _, rest, err = parseLabels(rest[1:]); err != nil {
+				return nil, fmt.Errorf("metrics line %d: %s: %w", lineNo, name, err)
+			}
+		}
+		series := line[:len(line)-len(rest)]
+		valueText := strings.TrimLeft(rest, " \t")
+		if name == "" || valueText == "" || len(valueText) == len(rest) || strings.ContainsAny(valueText, " \t") {
+			return nil, fmt.Errorf("metrics line %d: malformed sample line %q", lineNo, line)
 		}
 		if _, ok := scrape.Types[sampleFamily(name)]; !ok {
 			return nil, fmt.Errorf("metrics line %d: sample %s has no TYPE declaration", lineNo, name)

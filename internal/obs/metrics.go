@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,21 +33,10 @@ const slowestN = 10
 // \" and \n. Everything else — including other control characters and
 // non-ASCII — passes through unchanged, which is what the format specifies.
 func EscapeLabelValue(v string) string {
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+	return labelEscaper.Replace(v)
 }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Labeled builds an internal metric name carrying a Prometheus label set:
 // "family{k1=\"v1\",k2=\"v2\"}". Pairs alternate key, value; keys must
@@ -63,7 +53,7 @@ func Labeled(family string, pairs ...string) string {
 	for i := 0; i < len(pairs); i += 2 {
 		kvs = append(kvs, kv{pairs[i], pairs[i+1]})
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
+	slices.SortFunc(kvs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	var b strings.Builder
 	b.WriteString(family)
 	b.WriteByte('{')
@@ -183,9 +173,12 @@ type HistogramSnapshot struct {
 
 // Snapshot is the exportable aggregate: counters, duration histograms and
 // slowest-N lists. JSON encoding is deterministic up to the time-derived
-// values (map keys sort).
+// values (map keys sort). Gauges are point-in-time values a caller adds to
+// a snapshot before rendering it (Metrics itself keeps none), named like
+// counters, plain or built with Labeled.
 type Snapshot struct {
 	Counters  map[string]int64             `json:"counters"`
+	Gauges    map[string]float64           `json:"gauges,omitempty"`
 	Durations map[string]HistogramSnapshot `json:"durations"`
 	Slowest   map[string][]SlowEntry       `json:"slowest,omitempty"`
 }

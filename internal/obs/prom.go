@@ -5,31 +5,30 @@
 // become one family with a label, kill-latency histograms become one
 // histogram family labelled by operator, and everything else maps
 // mechanically. Output is sorted, so identical snapshots render identical
-// bytes.
+// bytes. WritePrometheus is the only code that writes exposition lines:
+// the service adds its scrape-time values to a snapshot and renders that.
 
 package obs
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // promSanitize maps an internal metric name segment onto the Prometheus
-// name charset [a-zA-Z0-9_].
+// name charset [a-zA-Z0-9_]; a name already in it is returned as is.
 func promSanitize(name string) string {
-	var b strings.Builder
-	for _, r := range name {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteRune('_')
+			return r
 		}
-	}
-	return b.String()
+		return '_'
+	}, name)
 }
 
 // splitLabeled splits an obs.Labeled name ("family{k=\"v\",...}") into its
@@ -42,33 +41,29 @@ func splitLabeled(name string) (family, label string, ok bool) {
 	return name[:i], name[i+1 : len(name)-1], true
 }
 
-// promCounter maps one internal counter name to (family, label) — label is
-// empty for plain counters.
-func promCounter(name string) (family, label string) {
-	if fam, lbl, ok := splitLabeled(name); ok {
-		return "concat_" + promSanitize(fam) + "_total", lbl
-	}
-	if rest, ok := strings.CutPrefix(name, "case.outcome."); ok {
-		return "concat_case_outcome_total", fmt.Sprintf("outcome=%q", rest)
-	}
-	if rest, ok := strings.CutPrefix(name, "mutant.kill."); ok {
-		return "concat_mutant_kills_total", fmt.Sprintf("reason=%q", rest)
-	}
-	if rest, ok := strings.CutPrefix(name, "job.outcome."); ok {
-		return "concat_job_outcome_total", fmt.Sprintf("state=%q", rest)
-	}
-	return "concat_" + promSanitize(name) + "_total", ""
+// promDotted lists the dotted internal families whose last segment
+// becomes a label: outcome and kill-reason counters, per-operator
+// kill-latency histograms.
+var promDotted = []struct{ prefix, family, label string }{
+	{"case.outcome.", "case_outcome", "outcome"},
+	{"mutant.kill.", "mutant_kills", "reason"},
+	{"job.outcome.", "job_outcome", "state"},
+	{"mutant.kill-latency.", "mutant_kill_latency", "operator"},
 }
 
-// promHist maps one internal histogram name to (family, label).
-func promHist(name string) (family, label string) {
+// promName maps one internal metric name to its family, ending in the
+// kind's suffix ("_total", "_seconds" or none for a gauge), and its label
+// body, empty for a plain series.
+func promName(name, suffix string) (family, label string) {
 	if fam, lbl, ok := splitLabeled(name); ok {
-		return "concat_" + promSanitize(fam) + "_seconds", lbl
+		return "concat_" + promSanitize(fam) + suffix, lbl
 	}
-	if rest, ok := strings.CutPrefix(name, "mutant.kill-latency."); ok {
-		return "concat_mutant_kill_latency_seconds", fmt.Sprintf("operator=%q", rest)
+	for _, d := range promDotted {
+		if rest, ok := strings.CutPrefix(name, d.prefix); ok {
+			return "concat_" + d.family + suffix, d.label + `="` + EscapeLabelValue(rest) + `"`
+		}
 	}
-	return "concat_" + promSanitize(name) + "_seconds", ""
+	return "concat_" + promSanitize(name) + suffix, ""
 }
 
 // promLE renders a microsecond bound as a Prometheus le= seconds value.
@@ -90,74 +85,98 @@ func joinLabels(labels ...string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// EscapeHelp escapes a HELP line's docstring per the text exposition
+// escapeHelp escapes a HELP line's docstring per the text exposition
 // format: backslash and line feed become \\ and \n (quotes are not special
 // in HELP text).
-func EscapeHelp(v string) string {
+func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// promHelp documents the well-known families; unknown families fall back to
-// a generic line naming the internal metric.
+// promHelp documents the known families; unknown families fall back to a
+// generic line naming the family.
 var promHelp = map[string]string{
-	"concat_case_outcome_total":            "Test-case outcomes by verdict across every run this process executed.",
-	"concat_mutant_kills_total":            "Mutants killed, by the oracle reason that caught them.",
-	"concat_job_outcome_total":             "Campaign-service jobs reaching a terminal state, by state.",
-	"concat_mutant_kill_latency_seconds":   "Wall-clock time from mutant start to its killing verdict, by operator.",
-	"concat_http_requests_total":           "HTTP requests served, by route pattern, method and status code.",
-	"concat_http_request_duration_seconds": "HTTP request latency by route pattern and method.",
-	"concat_store_get_duration_seconds":    "Verdict-store read-path latency as observed by the campaign service.",
+	"concat_case_outcome_total":                  "Test-case outcomes by verdict across every run this process executed.",
+	"concat_mutant_kills_total":                  "Mutants killed, by the oracle reason that caught them.",
+	"concat_job_outcome_total":                   "Campaign-service jobs reaching a terminal state, by state.",
+	"concat_mutant_kill_latency_seconds":         "Wall-clock time from mutant start to its killing verdict, by operator.",
+	"concat_http_requests_total":                 "HTTP requests served, by route pattern, method and status code.",
+	"concat_http_request_duration_seconds":       "HTTP request latency by route pattern and method.",
+	"concat_store_get_duration_seconds":          "Verdict-store read-path latency as observed by the campaign service.",
+	"concat_store_hits_total":                    "Verdict-store lookups served from the cache.",
+	"concat_store_misses_total":                  "Verdict-store lookups that had to execute.",
+	"concat_store_quarantined_total":             "Store entries quarantined for failing integrity.",
+	"concat_shard_leases_total":                  "Distributed-campaign shard leases granted.",
+	"concat_shard_reclaims_total":                "Shard leases reclaimed from wedged workers.",
+	"concat_journal_replayed_total":              "Jobs replayed from the journal at startup.",
+	"concat_journal_corrupt_total":               "Corrupt journal records quarantined at replay.",
+	"concat_lease_reclaims_total":                "Job leases reclaimed from wedged attempts.",
+	"concat_job_retries_total":                   "Job attempts retried after a crash or reclaim.",
+	"concat_jobs_quarantined_total":              "Poison jobs parked after exhausting retries.",
+	"concat_impact_kept_total":                   "Impact-analysis cases kept (replayed warm).",
+	"concat_impact_rerun_total":                  "Impact-analysis cases re-executed.",
+	"concat_impact_regenerated_total":            "Impact-analysis cases regenerated and executed.",
+	"concat_build_info":                          "Build metadata; the value is always 1.",
+	"concat_queue_depth":                         "Jobs occupying admission slots.",
+	"concat_queue_oldest_age_seconds":            "Age of the oldest job waiting in the queue.",
+	"concat_draining":                            "1 while the server drains toward shutdown.",
+	"concat_http_in_flight":                      "HTTP requests currently being served.",
+	"concat_workers":                             "Configured campaign workers.",
+	"concat_workers_busy":                        "Workers currently executing a job.",
+	"concat_events_subscribers":                  "Live /events NDJSON stream subscribers.",
+	"concat_events_broadcast_lag_bytes":          "Worst trace bytes written but not yet consumed by a live subscriber.",
+	"concat_jobs":                                "Jobs by lifecycle state.",
+	"concat_campaign_transaction_coverage_ratio": "Per-campaign TFM transaction coverage, 0 to 1.",
 }
 
-// PromFamilyHeader renders the HELP and TYPE header lines introducing one
-// metric family, with the help text escaped for the exposition format. An
-// empty help falls back to the well-known-family table or a generic line.
-func PromFamilyHeader(family, kind, help string) string {
-	if help == "" {
-		help = promHelp[family]
-	}
+// promFamilyHeader renders the HELP and TYPE header lines introducing one
+// metric family, with the help text escaped for the exposition format.
+func promFamilyHeader(family, kind string) string {
+	help := promHelp[family]
 	if help == "" {
 		help = "Internal concat metric " + family + "."
 	}
-	return fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", family, EscapeHelp(help), family, kind)
+	return fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", family, escapeHelp(help), family, kind)
+}
+
+// promSeries is one series of a family: its internal name, which orders
+// the series, and its rendered sample lines.
+type promSeries struct {
+	name, text string
+}
+
+// promFamily collects the series of one exposition family.
+type promFamily struct {
+	kind   string
+	series []promSeries
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): every counter as a *_total family, every duration
-// histogram as a *_seconds histogram with cumulative le buckets. Families
-// are emitted in sorted order with one HELP and one TYPE header each.
+// format (version 0.0.4): every counter as a *_total family, every gauge
+// under its own name, every duration histogram as a *_seconds histogram
+// with cumulative le buckets. Families are emitted in sorted order, each
+// with one HELP and one TYPE header followed by all of its series.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-
-	typed := make(map[string]bool)
-	header := func(family, kind string) {
-		if !typed[family] {
-			typed[family] = true
-			b.WriteString(PromFamilyHeader(family, kind, ""))
+	families := make(map[string]*promFamily)
+	add := func(family, kind, name, text string) {
+		f := families[family]
+		if f == nil {
+			f = &promFamily{kind: kind}
+			families[family] = f
 		}
+		f.series = append(f.series, promSeries{name, text})
 	}
-
-	counters := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		counters = append(counters, k)
+	for name, v := range s.Counters {
+		family, label := promName(name, "_total")
+		add(family, "counter", name, family+joinLabels(label)+" "+strconv.FormatInt(v, 10)+"\n")
 	}
-	sort.Strings(counters)
-	for _, k := range counters {
-		family, label := promCounter(k)
-		header(family, "counter")
-		fmt.Fprintf(&b, "%s%s %d\n", family, joinLabels(label), s.Counters[k])
+	for name, v := range s.Gauges {
+		family, label := promName(name, "")
+		add(family, "gauge", name, family+joinLabels(label)+" "+strconv.FormatFloat(v, 'g', -1, 64)+"\n")
 	}
-
-	hists := make([]string, 0, len(s.Durations))
-	for k := range s.Durations {
-		hists = append(hists, k)
-	}
-	sort.Strings(hists)
-	for _, k := range hists {
-		family, label := promHist(k)
-		header(family, "histogram")
-		h := s.Durations[k]
+	for name, h := range s.Durations {
+		family, label := promName(name, "_seconds")
+		var b strings.Builder
 		var cum int64
 		for _, bound := range histBounds {
 			cum += h.Buckets[bucketLabel(bound)]
@@ -168,8 +187,23 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_sum%s %s\n", family, joinLabels(label),
 			strconv.FormatFloat(float64(h.SumUS)/1e6, 'g', -1, 64))
 		fmt.Fprintf(&b, "%s_count%s %d\n", family, joinLabels(label), h.Count)
+		add(family, "histogram", name, b.String())
 	}
 
+	names := make([]string, 0, len(families))
+	for family := range families {
+		names = append(names, family)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, family := range names {
+		f := families[family]
+		slices.SortFunc(f.series, func(a, b promSeries) int { return strings.Compare(a.name, b.name) })
+		b.WriteString(promFamilyHeader(family, f.kind))
+		for _, series := range f.series {
+			b.WriteString(series.text)
+		}
+	}
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		return fmt.Errorf("obs: writing prometheus metrics: %w", err)
 	}

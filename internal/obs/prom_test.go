@@ -104,3 +104,74 @@ func TestPromSanitize(t *testing.T) {
 		t.Errorf("promSanitize = %q", got)
 	}
 }
+
+func TestWritePrometheusGauges(t *testing.T) {
+	snap := NewMetrics().Snapshot()
+	snap.Gauges = map[string]float64{
+		"queue.depth":              3,
+		"queue.oldest_age_seconds": 0.25,
+		Labeled("build_info", "version", "1.0", "goversion", "go1.22"): 1,
+		Labeled("jobs", "state", "done"):                               2,
+		Labeled("jobs", "state", "queued"):                             0,
+	}
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, line := range []string{
+		"# TYPE concat_queue_depth gauge",
+		"concat_queue_depth 3",
+		"concat_queue_oldest_age_seconds 0.25",
+		`concat_build_info{goversion="go1.22",version="1.0"} 1`,
+		"# TYPE concat_jobs gauge",
+		`concat_jobs{state="done"} 2`,
+		`concat_jobs{state="queued"} 0`,
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("output missing %q:\n%s", line, out)
+		}
+	}
+	if !strings.Contains(out, "# HELP concat_queue_depth Jobs occupying admission slots.\n") {
+		t.Errorf("gauge family lost its HELP text:\n%s", out)
+	}
+}
+
+// Series of one family are contiguous under a single header even when
+// their internal names sort apart, and families come out in sorted order.
+func TestWritePrometheusGroupsFamilies(t *testing.T) {
+	m := NewMetrics()
+	m.Inc("a", 1)                    // concat_a_total
+	m.Inc("a.x", 2)                  // concat_a_x_total, sorts between the two
+	m.Inc(Labeled("a", "k", "v"), 3) // concat_a_total{k="v"}
+	m.Observe("zz", "", time.Millisecond)
+	snap := m.Snapshot()
+	snap.Gauges = map[string]float64{"mid": 1}
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(rest)[0])
+		}
+	}
+	want := []string{"concat_a_total", "concat_a_x_total", "concat_mid", "concat_zz_seconds"}
+	if strings.Join(families, " ") != strings.Join(want, " ") {
+		t.Errorf("families = %v, want %v:\n%s", families, want, b.String())
+	}
+	if !strings.Contains(b.String(), "concat_a_total 1\nconcat_a_total{k=\"v\"} 3\n") {
+		t.Errorf("family series not contiguous:\n%s", b.String())
+	}
+}
+
+func TestSnapshotJSONOmitsEmptyGauges(t *testing.T) {
+	var b strings.Builder
+	if err := NewMetrics().Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "gauges") {
+		t.Errorf("snapshot without gauges encodes a gauges key:\n%s", b.String())
+	}
+}

@@ -132,7 +132,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"# HELP concat_build_info ",
 		"# TYPE concat_build_info gauge",
-		`concat_build_info{version="` + Version + `",goversion="` + runtime.Version() + `"} 1`,
+		`concat_build_info{goversion="` + runtime.Version() + `",version="` + Version + `"} 1`,
 		"# TYPE concat_http_in_flight gauge",
 		"concat_http_in_flight 1\n", // this very scrape
 		"concat_workers 1\n",

@@ -20,6 +20,11 @@ func fastRetry(attempts int) sandbox.RetryPolicy {
 	return sandbox.RetryPolicy{Attempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 }
 
+// counterValue reads one of the server's obs.Metrics counters.
+func counterValue(s *Server, name string) int64 {
+	return s.metrics.Snapshot().Counters[name]
+}
+
 func waitDone(t *testing.T, j *Job) {
 	t.Helper()
 	select {
@@ -114,7 +119,7 @@ func TestWorkerPanicRetriesThenSucceeds(t *testing.T) {
 	if final.Attempts != 3 {
 		t.Errorf("attempts = %d, want 3", final.Attempts)
 	}
-	if got := s.nRetries.Load(); got != 2 {
+	if got := counterValue(s, "job.retries"); got != 2 {
 		t.Errorf("retry counter = %d, want 2", got)
 	}
 	if report := fetchReport(t, ts, st.ID); !bytes.Equal(report, []byte("stub report\n")) {
@@ -148,7 +153,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	if final.Error == "" {
 		t.Error("quarantined job lost its failure cause")
 	}
-	if got := s.nQuarantined.Load(); got != 1 {
+	if got := counterValue(s, "jobs.quarantined"); got != 1 {
 		t.Errorf("quarantine counter = %d, want 1", got)
 	}
 	resp, err := http.Get(ts.URL + "/campaigns/" + st.ID + "/report")
@@ -180,7 +185,7 @@ func TestLeaseReclaimOfWedgedWorker(t *testing.T) {
 	}
 	j, _ := s.Job(st.ID)
 	waitDone(t, j)
-	if got := s.nReclaims.Load(); got != 1 {
+	if got := counterValue(s, "lease.reclaims"); got != 1 {
 		t.Errorf("reclaim counter = %d, want 1", got)
 	}
 	final := getStatus(t, ts, st.ID)
@@ -323,7 +328,7 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	srv2.campaign = func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("replayed " + j.ID + "\n"), nil
 	}
-	if got := srv2.nReplayed.Load(); got != 2 {
+	if got := counterValue(srv2, "journal.replayed"); got != 2 {
 		t.Fatalf("replayed %d jobs, want 2", got)
 	}
 	for _, id := range []string{"c1", "c2"} {
@@ -376,7 +381,7 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	}
 	srv2 := New(Config{Workers: 1, Journal: jn2})
 	t.Cleanup(srv2.Close)
-	if got := srv2.nReplayed.Load(); got != 0 {
+	if got := counterValue(srv2, "journal.replayed"); got != 0 {
 		t.Errorf("terminal job re-queued: replay counter = %d, want 0", got)
 	}
 	r, ok := srv2.Job("c1")

@@ -25,11 +25,11 @@
 // unchanged: a report fetched over HTTP is the table the CLI prints for the
 // same request plus one coverage-summary line, the coverage artifact it
 // stores is byte-identical to what the CLI writes, and the streamed trace
-// validates against the obs span schema. A live /metrics endpoint exposes
-// the accumulated campaign counters, kill-latency histograms, and the
-// recovery counters (journal replays, lease reclaims, retries, quarantines)
-// in the Prometheus text format, and net/http/pprof can be mounted behind a
-// flag.
+// validates against the obs span schema. A live /metrics endpoint renders
+// the server's obs.Metrics (campaign counters, kill-latency histograms,
+// recovery counters such as journal replays, lease reclaims, retries and
+// quarantines) plus scrape-time gauges in the Prometheus text format, and
+// net/http/pprof can be mounted behind a flag.
 package serve
 
 import (
@@ -53,7 +53,6 @@ import (
 	"concat/internal/cover"
 	"concat/internal/driver"
 	"concat/internal/impact"
-	"concat/internal/mutation"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/serve/chaos"
@@ -276,12 +275,16 @@ func (j *Job) setQueued() {
 	j.mu.Unlock()
 }
 
-// queuedSince returns when the job entered the queue; ok is false unless
-// the job is currently queued.
-func (j *Job) queuedSince() (time.Time, bool) {
+// queueState returns the job's state and, while it is queued, when it
+// entered the queue (zero otherwise) — what /metrics reads of every job,
+// without building a full Status.
+func (j *Job) queueState() (state string, queuedAt time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.enqueuedAt, j.state == StateQueued && !j.enqueuedAt.IsZero()
+	if j.state != StateQueued {
+		return j.state, time.Time{}
+	}
+	return j.state, j.enqueuedAt
 }
 
 // finishDone moves the job to its terminal done state and releases waiters.
@@ -603,30 +606,14 @@ type Server struct {
 	// /store mount and Enabled checks.
 	store store.Backend
 
-	// HTTP observability (middleware.go).
+	// HTTP observability (middleware.go). inFlight and busy are read
+	// into gauges when /metrics is scraped.
 	nRequests atomic.Int64 // per-request ID allocator
 	inFlight  atomic.Int64 // requests currently being served
 	busy      atomic.Int64 // workers currently executing a job
 	accessLog *accessLogger
 	subMu     sync.Mutex
 	subs      map[*subscriber]struct{}
-
-	// Recovery counters, exposed on /metrics from process start.
-	nReplayed       atomic.Int64
-	nJournalCorrupt atomic.Int64
-	nReclaims       atomic.Int64
-	nRetries        atomic.Int64
-	nQuarantined    atomic.Int64
-
-	// Distributed-campaign counters (work.go).
-	nShardLeases   atomic.Int64
-	nShardReclaims atomic.Int64
-
-	// Impact-analysis counters: cases kept (replayed or replayable warm),
-	// re-run and regenerated across every impact job this process ran.
-	nImpactKept  atomic.Int64
-	nImpactRerun atomic.Int64
-	nImpactRegen atomic.Int64
 
 	// workMu guards the shard sets of in-flight distributed campaigns,
 	// appended in job order so /work/lease serves older campaigns first.
@@ -686,6 +673,14 @@ func newServer(cfg Config) *Server {
 		jobs:    map[string]*Job{},
 		ready:   make(chan struct{}),
 	}
+	// The recovery, shard and impact counters start at zero, so /metrics
+	// shows them from process start and absence never reads as zero.
+	for _, name := range []string{
+		"journal.replayed", "journal.corrupt", "lease.reclaims", "job.retries", "jobs.quarantined",
+		"shard.leases", "shard.reclaims", "impact.kept", "impact.rerun", "impact.regenerated",
+	} {
+		s.metrics.Inc(name, 0)
+	}
 	s.campaign = s.runCampaign
 	s.store = cfg.Store
 	if store.Enabled(cfg.Store) {
@@ -724,7 +719,7 @@ func (s *Server) start() {
 		s.active++
 		s.mu.Unlock()
 		j.setQueued()
-		s.nReplayed.Add(1)
+		s.metrics.Inc("journal.replayed", 1)
 		s.journalJob(j) // persist running -> queued reclaims
 		s.logf("serve: %s replayed from journal (%s, attempts %d)", j.ID, j.Req.Component, j.Attempts())
 		select {
@@ -744,7 +739,7 @@ func (s *Server) replayJournal() []*Job {
 		s.logf("serve: journal replay: %v", err)
 		return nil
 	}
-	s.nJournalCorrupt.Add(int64(corrupt))
+	s.metrics.Inc("journal.corrupt", int64(corrupt))
 	if corrupt > 0 {
 		s.logf("serve: quarantined %d corrupt journal record(s)", corrupt)
 	}
@@ -1119,7 +1114,7 @@ func (s *Server) runJob(j *Job) {
 		if !j.endAttempt(token) {
 			return
 		}
-		s.nReclaims.Add(1)
+		s.metrics.Inc("lease.reclaims", 1)
 		s.retryOrQuarantine(j, attempt, fmt.Sprintf("lease expired after %s", s.cfg.lease()))
 	case <-s.stop:
 		// Shutdown mid-attempt: the job stays journaled as running and the
@@ -1146,13 +1141,13 @@ func (s *Server) retryOrQuarantine(j *Job, attempt int, cause string) {
 	p := s.cfg.retryPolicy()
 	if attempt >= p.Attempts {
 		j.finishFailed(StateQuarantined, fmt.Sprintf("quarantined after %d attempts: %s", attempt, cause))
-		s.nQuarantined.Add(1)
+		s.metrics.Inc("jobs.quarantined", 1)
 		s.metrics.Inc("job.outcome.quarantined", 1)
 		s.jobTerminal(j, 0)
 		s.logf("serve: %s quarantined after %d attempts: %s", j.ID, attempt, cause)
 		return
 	}
-	s.nRetries.Add(1)
+	s.metrics.Inc("job.retries", 1)
 	j.setQueued()
 	s.journalJob(j)
 	delay := backoffDelay(p, attempt)
@@ -1214,7 +1209,7 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 		Exec:          exec,
 		Store:         s.store,
 		Parallelism:   s.cfg.Parallelism,
-		MutantMethods: mutantMethods(t),
+		MutantMethods: t.MutantMethods(),
 	}
 	res, err := r.Run(oldSpec, newSpec)
 	if err != nil {
@@ -1223,9 +1218,9 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 	if err := exec.Trace.Err(); err != nil {
 		return nil, nil, err
 	}
-	s.nImpactKept.Add(int64(res.Report.Kept))
-	s.nImpactRerun.Add(int64(res.Report.Rerun))
-	s.nImpactRegen.Add(int64(res.Report.Regenerated))
+	s.metrics.Inc("impact.kept", int64(res.Report.Kept))
+	s.metrics.Inc("impact.rerun", int64(res.Report.Rerun))
+	s.metrics.Inc("impact.regenerated", int64(res.Report.Regenerated))
 	encodedCov, err := res.Coverage.Encode()
 	if err != nil {
 		return nil, nil, err
@@ -1248,26 +1243,6 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 	buf.WriteString(res.Coverage.Suite.Summary())
 	buf.WriteString("\n")
 	return nil, []byte(buf.String()), nil
-}
-
-// mutantMethods enumerates the target's mutants over its experiment
-// methods, one method name per mutant, for the impact report's mutant
-// accounting. Components without instrumentation yield nil.
-func mutantMethods(t core.Target) []string {
-	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
-		return nil
-	}
-	eng := mutation.NewEngine()
-	for _, site := range t.Sites {
-		if err := eng.RegisterSite(site); err != nil {
-			return nil
-		}
-	}
-	var out []string
-	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
-		out = append(out, m.Method)
-	}
-	return out
 }
 
 // runLocal is the single-process campaign path. It doubles as the
@@ -1590,96 +1565,64 @@ func (s *Server) handleImpactArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(artifact)
 }
 
-// handleMetrics renders the live Prometheus text surface: the shared
-// campaign metrics (outcome counters, kill-latency histograms), the verdict
-// store's hit/miss/quarantine counters, queue, job-state and drain gauges,
-// the recovery counters (journal replays, corrupt journal records, lease
-// reclaims, retries, quarantined jobs) and the impact-partition counters
-// (cases kept/re-run/regenerated) — always present, so their absence can
-// never be confused with zero — and per-campaign transaction-coverage
-// gauges for every finished job.
+// handleMetrics renders the live Prometheus text surface from one
+// obs.Metrics snapshot: the shared campaign metrics (outcome counters,
+// kill-latency histograms, HTTP RED metrics), the recovery, shard and
+// impact counters (registered at zero in newServer), plus the values read
+// at scrape time — the verdict store's hit/miss/quarantine counters, build
+// info, queue, drain, worker and subscriber gauges, jobs by state, and
+// per-campaign transaction coverage for every finished job.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
 	snap := s.metrics.Snapshot()
-	if err := snap.WritePrometheus(&b); err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	counter := func(family, help string, v int64) {
-		b.WriteString(obs.PromFamilyHeader(family, "counter", help))
-		fmt.Fprintf(&b, "%s %d\n", family, v)
-	}
-	gauge := func(family, help string, v any) {
-		b.WriteString(obs.PromFamilyHeader(family, "gauge", help))
-		fmt.Fprintf(&b, "%s %v\n", family, v)
-	}
-	b.WriteString(obs.PromFamilyHeader("concat_build_info", "gauge",
-		"Build metadata; the value is always 1."))
-	fmt.Fprintf(&b, "concat_build_info{version=%q,goversion=%q} 1\n",
-		obs.EscapeLabelValue(Version), obs.EscapeLabelValue(runtime.Version()))
 	stats := store.BackendStats(s.cfg.Store)
-	counter("concat_store_hits_total", "Verdict-store lookups served from the cache.", int64(stats.Hits))
-	counter("concat_store_misses_total", "Verdict-store lookups that had to execute.", int64(stats.Misses))
-	counter("concat_store_quarantined_total", "Store entries quarantined for failing integrity.", int64(stats.Quarantined))
-	counter("concat_shard_leases_total", "Distributed-campaign shard leases granted.", s.nShardLeases.Load())
-	counter("concat_shard_reclaims_total", "Shard leases reclaimed from wedged workers.", s.nShardReclaims.Load())
-	counter("concat_journal_replayed_total", "Jobs replayed from the journal at startup.", s.nReplayed.Load())
-	counter("concat_journal_corrupt_total", "Corrupt journal records quarantined at replay.", s.nJournalCorrupt.Load())
-	counter("concat_lease_reclaims_total", "Job leases reclaimed from wedged attempts.", s.nReclaims.Load())
-	counter("concat_job_retries_total", "Job attempts retried after a crash or reclaim.", s.nRetries.Load())
-	counter("concat_jobs_quarantined_total", "Poison jobs parked after exhausting retries.", s.nQuarantined.Load())
-	counter("concat_impact_kept_total", "Impact-analysis cases kept (replayed warm).", s.nImpactKept.Load())
-	counter("concat_impact_rerun_total", "Impact-analysis cases re-executed.", s.nImpactRerun.Load())
-	counter("concat_impact_regenerated_total", "Impact-analysis cases regenerated and executed.", s.nImpactRegen.Load())
+	snap.Counters["store.hits"] = int64(stats.Hits)
+	snap.Counters["store.misses"] = int64(stats.Misses)
+	snap.Counters["store.quarantined"] = int64(stats.Quarantined)
+
 	s.mu.Lock()
 	queued := s.queued
-	draining := 0
+	draining := 0.0
 	if s.draining {
 		draining = 1
 	}
 	s.mu.Unlock()
-	gauge("concat_queue_depth", "Jobs occupying admission slots.", queued)
-	gauge("concat_draining", "1 while the server drains toward shutdown.", draining)
-	gauge("concat_http_in_flight", "HTTP requests currently being served.", s.inFlight.Load())
-	gauge("concat_workers", "Configured campaign workers.", s.cfg.Workers)
-	gauge("concat_workers_busy", "Workers currently executing a job.", s.busy.Load())
 	subCount, maxLag := s.subscriberStats()
-	gauge("concat_events_subscribers", "Live /events NDJSON stream subscribers.", subCount)
-	gauge("concat_events_broadcast_lag_bytes", "Worst trace bytes written but not yet consumed by a live subscriber.", maxLag)
+	snap.Gauges = map[string]float64{
+		obs.Labeled("build_info", "version", Version, "goversion", runtime.Version()): 1,
+		"queue.depth":                float64(queued),
+		"draining":                   draining,
+		"http.in_flight":             float64(s.inFlight.Load()),
+		"workers":                    float64(s.cfg.Workers),
+		"workers.busy":               float64(s.busy.Load()),
+		"events.subscribers":         float64(subCount),
+		"events.broadcast_lag_bytes": float64(maxLag),
+	}
 
-	jobs := s.Jobs()
 	states := map[string]int{}
-	var covered []*Job
-	var oldestQueued time.Time
-	for _, j := range jobs {
-		states[j.Status().State]++
+	var oldestQueued time.Duration
+	for _, j := range s.Jobs() {
+		state, queuedAt := j.queueState()
+		states[state]++
 		if sc, _ := j.Coverage(); sc != nil {
-			covered = append(covered, j)
+			snap.Gauges[obs.Labeled("campaign_transaction_coverage_ratio", "id", j.ID, "component", j.Req.Component)] =
+				sc.TransactionPercent() / 100
 		}
-		if at, ok := j.queuedSince(); ok && (oldestQueued.IsZero() || at.Before(oldestQueued)) {
-			oldestQueued = at
+		if !queuedAt.IsZero() {
+			oldestQueued = max(oldestQueued, time.Since(queuedAt))
 		}
 	}
-	queueAge := 0.0
-	if !oldestQueued.IsZero() {
-		queueAge = time.Since(oldestQueued).Seconds()
-	}
-	gauge("concat_queue_oldest_age_seconds", "Age of the oldest job waiting in the queue.", strconv.FormatFloat(queueAge, 'g', -1, 64))
-	b.WriteString(obs.PromFamilyHeader("concat_jobs", "gauge", "Jobs by lifecycle state."))
 	for _, state := range jobStates {
-		fmt.Fprintf(&b, "concat_jobs{state=%q} %d\n", state, states[state])
+		snap.Gauges[obs.Labeled("jobs", "state", state)] = float64(states[state])
 	}
-	if len(covered) > 0 {
-		b.WriteString(obs.PromFamilyHeader("concat_campaign_transaction_coverage_ratio", "gauge",
-			"Per-campaign TFM transaction coverage, 0 to 1."))
-		for _, j := range covered {
-			sc, _ := j.Coverage()
-			fmt.Fprintf(&b, "concat_campaign_transaction_coverage_ratio{id=%q,component=%q} %g\n",
-				j.ID, j.Req.Component, sc.TransactionPercent()/100)
-		}
+	snap.Gauges["queue.oldest_age_seconds"] = oldestQueued.Seconds()
+
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = fmt.Fprint(w, b.String())
+	_, _ = io.WriteString(w, b.String())
 }
 
 // handleEvents streams the job's trace as NDJSON: the full span history so

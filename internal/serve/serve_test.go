@@ -252,7 +252,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE concat_store_misses_total counter",
 		`concat_jobs{state="done"} 1`,
 		"# TYPE concat_campaign_transaction_coverage_ratio gauge",
-		fmt.Sprintf("concat_campaign_transaction_coverage_ratio{id=%q,component=\"Account\"} 1", job.ID),
+		fmt.Sprintf("concat_campaign_transaction_coverage_ratio{component=\"Account\",id=%q} 1", job.ID),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("post-campaign /metrics missing %q:\n%s", want, out)

@@ -51,8 +51,6 @@ type ShardLease struct {
 	// Epoch is the lease's validity token: a completion carrying a stale
 	// epoch (the shard was reclaimed and re-leased meanwhile) is rejected.
 	Epoch int `json:"epoch"`
-	// LeaseSeconds tells the worker how long it holds the shard.
-	LeaseSeconds int `json:"leaseSeconds"`
 }
 
 // ShardDone is the completion body a worker posts for a finished shard.
@@ -129,12 +127,11 @@ func (set *shardSet) tryLease(now time.Time) (lease ShardLease, reclaims int, ok
 		set.attempts[i]++
 		set.deadline[i] = now.Add(set.lease)
 		return ShardLease{
-			Job:          set.jobID,
-			Req:          set.req,
-			Shard:        i,
-			Shards:       set.count,
-			Epoch:        set.epoch[i],
-			LeaseSeconds: int(set.lease / time.Second),
+			Job:    set.jobID,
+			Req:    set.req,
+			Shard:  i,
+			Shards: set.count,
+			Epoch:  set.epoch[i],
 		}, reclaims, true
 	}
 	return ShardLease{}, reclaims, false
@@ -253,11 +250,11 @@ func (s *Server) leaseShard(now time.Time) (ShardLease, bool) {
 	for _, set := range sets {
 		lease, reclaims, ok := set.tryLease(now)
 		if reclaims > 0 {
-			s.nShardReclaims.Add(int64(reclaims))
+			s.metrics.Inc("shard.reclaims", int64(reclaims))
 			s.logf("serve: %s reclaimed %d expired shard lease(s)", set.jobID, reclaims)
 		}
 		if ok {
-			s.nShardLeases.Add(1)
+			s.metrics.Inc("shard.leases", 1)
 			s.logf("serve: %s shard %d/%d leased (epoch %d)", lease.Job, lease.Shard, lease.Shards, lease.Epoch)
 			return lease, true
 		}
