@@ -953,8 +953,8 @@ func cmdDerive(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  transactions: %d skipped, %d reused, %d regenerated\n", skip, reuse, regen)
 	fmt.Fprintf(w, "  test cases:   %d new, %d reused from parent, %d parent cases skipped\n",
 		d.NumNew, d.NumReused, d.NumSkipped)
-	inh, red, nw := d.Plan.Classification.Counts()
-	fmt.Fprintf(w, "  methods:      %d inherited, %d redefined, %d new\n", inh, red, nw)
+	inh, red, nw := d.Plan.Delta.Split(cc.Spec())
+	fmt.Fprintf(w, "  methods:      %d inherited, %d redefined, %d new\n", len(inh), len(red), len(nw))
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {

@@ -173,10 +173,12 @@ func TestCLIDerive(t *testing.T) {
 	dir := t.TempDir()
 	out := mustRunCLI(t, "derive", "-parent", "ObList", "-child", "SortableObList",
 		"-expand", "-alt", "2", "-out", filepath.Join(dir, "derived.json"))
-	for _, want := range []string{"skipped", "reused", "regenerated", "redefined"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("derive output missing %q:\n%s", want, out)
-		}
+	want := "derived suite for SortableObList (parent ObList):\n" +
+		"  transactions: 18 skipped, 22 reused, 22 regenerated\n" +
+		"  test cases:   44 new, 44 reused from parent, 36 parent cases skipped\n" +
+		"  methods:      12 inherited, 3 redefined, 8 new\n"
+	if out != want {
+		t.Errorf("derive output:\n%s\nwant:\n%s", out, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "derived.json")); err != nil {
 		t.Errorf("derived suite not written: %v", err)

@@ -12,7 +12,6 @@ import (
 
 	"concat"
 	"concat/internal/history"
-	"concat/internal/tspec"
 )
 
 func main() {
@@ -35,21 +34,17 @@ func run() error {
 	}
 	fmt.Printf("parent %s: %s\n", parent.Spec().Class.Name, parentSuite.Stats())
 
-	// Classify the subclass methods against the parent spec.
-	cls, err := tspec.Classify(parent.Spec(), child.Spec())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nmethod classification of %s:\n", child.Spec().Class.Name)
-	fmt.Printf("  inherited unchanged: %v\n", cls.Names(tspec.StatusInherited))
-	fmt.Printf("  redefined:           %v\n", cls.Names(tspec.StatusRedefined))
-	fmt.Printf("  new:                 %v\n", cls.Names(tspec.StatusNew))
-
-	// Derive the subclass suite.
+	// Derive the subclass suite; its plan carries the spec diff that
+	// classifies every subclass method against the parent.
 	d, err := concat.Derive(parent.Spec(), child.Spec(), parentSuite, opts)
 	if err != nil {
 		return err
 	}
+	inherited, redefined, added := d.Plan.Delta.Split(child.Spec())
+	fmt.Printf("\nmethod classification of %s:\n", child.Spec().Class.Name)
+	fmt.Printf("  inherited unchanged: %v\n", inherited)
+	fmt.Printf("  redefined:           %v\n", redefined)
+	fmt.Printf("  new:                 %v\n", added)
 	skip, reuse, regen := d.Plan.Counts()
 	fmt.Printf("\ntransaction decisions: %d skip, %d reuse, %d regenerate\n", skip, reuse, regen)
 	fmt.Printf("derived suite: %d new cases, %d reused from the parent (%d parent cases skipped)\n",

@@ -2,6 +2,7 @@ package sortlist
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -284,25 +285,20 @@ func TestSpecValidAndExtendsParent(t *testing.T) {
 	if s.Class.Superclass != oblist.Name {
 		t.Errorf("superclass = %q", s.Class.Superclass)
 	}
-	cls, err := tspec.Classify(oblist.Spec(), s)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
+	inherited, redefined, added := tspec.DiffSpecs(oblist.Spec(), s).Split(s)
 	wantNew := []string{"FindMax", "FindMin", "ShellSort", "Sort1", "Sort2",
 		"SortableObList", "SortableObListSized", "~SortableObList"}
-	gotNew := cls.Names(tspec.StatusNew)
-	if len(gotNew) != len(wantNew) {
-		t.Fatalf("new methods = %v, want %v", gotNew, wantNew)
+	if !reflect.DeepEqual(added, wantNew) {
+		t.Errorf("new methods = %v, want %v", added, wantNew)
 	}
 	wantRedef := []string{"InsertAfter", "InsertBefore", "SetAt"}
-	gotRedef := cls.Names(tspec.StatusRedefined)
-	if len(gotRedef) != len(wantRedef) {
-		t.Fatalf("redefined = %v, want %v", gotRedef, wantRedef)
+	if !reflect.DeepEqual(redefined, wantRedef) {
+		t.Errorf("redefined = %v, want %v", redefined, wantRedef)
 	}
-	for _, m := range []string{"AddHead", "AddTail", "RemoveHead", "RemoveAt", "Find", "RemoveAll"} {
-		if cls[m] != tspec.StatusInherited {
-			t.Errorf("%s = %s, want inherited", m, cls[m])
-		}
+	wantInh := []string{"AddHead", "AddTail", "Find", "GetAt", "GetCount", "GetHead", "GetTail",
+		"IsEmpty", "RemoveAll", "RemoveAt", "RemoveHead", "RemoveTail"}
+	if !reflect.DeepEqual(inherited, wantInh) {
+		t.Errorf("inherited = %v, want %v", inherited, wantInh)
 	}
 }
 

@@ -127,8 +127,10 @@ type Plan struct {
 	Component  string
 	Superclass string
 	Decisions  []Decision
-	// Classification is the per-method status diff that justified the plan.
-	Classification tspec.Classification
+	// Delta is the subclass-frame spec diff that justified the plan: an
+	// impacted method is new (reason added) or redefined, any other method
+	// inherited.
+	Delta tspec.SpecDelta
 }
 
 // Counts returns the number of transactions per decision class.
@@ -158,7 +160,7 @@ type DerivedSuite struct {
 	NumSkipped int // test cases of the parent not carried into the suite
 }
 
-// Derive runs the incremental technique: classify subclass methods against
+// Derive runs the incremental technique: diff the subclass spec against
 // the parent spec, classify every subclass transaction, and assemble the
 // subclass suite from reused parent cases plus freshly generated ones.
 //
@@ -168,10 +170,11 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 	if parentSuite == nil {
 		return nil, fmt.Errorf("history: derive requires the parent suite")
 	}
-	classification, err := tspec.Classify(parentSpec, childSpec)
-	if err != nil {
-		return nil, fmt.Errorf("history: deriving %q: %w", childSpec.Class.Name, err)
+	if childSpec.Class.Superclass != parentSpec.Class.Name {
+		return nil, fmt.Errorf("history: %q does not extend %q (superclass is %q)",
+			childSpec.Class.Name, parentSpec.Class.Name, childSpec.Class.Superclass)
 	}
+	delta := tspec.DiffSpecs(parentSpec, childSpec)
 
 	// Generate the subclass's full suite once; it supplies the cases for
 	// every transaction classified ClassRegenerate.
@@ -195,9 +198,9 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 	}
 
 	plan := &Plan{
-		Component:      childSpec.Class.Name,
-		Superclass:     parentSpec.Class.Name,
-		Classification: classification,
+		Component:  childSpec.Class.Name,
+		Superclass: parentSpec.Class.Name,
+		Delta:      delta,
 	}
 	out := &DerivedSuite{
 		Suite: &driver.Suite{
@@ -224,7 +227,7 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 
 	for _, tr := range childTrOrder {
 		cases := childByTr[tr]
-		cls, reason := classifyTransaction(childSpec, classification, cases)
+		cls, reason := classifyTransaction(childSpec, delta, cases)
 		switch cls {
 		case ClassSkip:
 			out.NumSkipped += len(cases)
@@ -261,8 +264,10 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 
 // classifyTransaction applies the paper's rule to one transaction, using the
 // methods its generated cases actually invoke. Constructors and destructors
-// are excluded from the modification check.
-func classifyTransaction(spec *tspec.Spec, cls tspec.Classification, cases []driver.TestCase) (TransactionClass, string) {
+// are excluded from the modification check. A method's status comes from
+// the delta: reason added is new, any other reason redefined, and absence
+// inherited.
+func classifyTransaction(spec *tspec.Spec, delta tspec.SpecDelta, cases []driver.TestCase) (TransactionClass, string) {
 	hasNew, hasRedefined := false, false
 	var newName, redefName string
 	for _, tc := range cases {
@@ -277,10 +282,10 @@ func classifyTransaction(spec *tspec.Spec, cls tspec.Classification, cases []dri
 			if m.Category == tspec.CatConstructor || m.Category == tspec.CatDestructor {
 				continue
 			}
-			switch cls[m.Name] {
-			case tspec.StatusNew:
+			switch reason := delta.ImpactedReason(m.Name); {
+			case reason == tspec.ReasonAdded:
 				hasNew, newName = true, m.Name
-			case tspec.StatusRedefined:
+			case reason != "":
 				hasRedefined, redefName = true, m.Name
 			}
 		}

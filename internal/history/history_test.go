@@ -102,7 +102,7 @@ func TestDeriveProducesAllThreeClasses(t *testing.T) {
 func TestDeriveDecisionsFollowTheRule(t *testing.T) {
 	d := deriveLists(t)
 	spec := sortlist.Spec()
-	cls := d.Plan.Classification
+	delta := d.Plan.Delta
 	byTr := map[string][]driver.TestCase{}
 	for _, tc := range d.Suite.Cases {
 		byTr[tc.Transaction] = append(byTr[tc.Transaction], tc)
@@ -118,7 +118,7 @@ func TestDeriveDecisionsFollowTheRule(t *testing.T) {
 			found := false
 			for _, tc := range byTr[dec.Transaction] {
 				for _, m := range tc.Methods() {
-					if cls[m] == tspec.StatusNew {
+					if delta.ImpactedReason(m) == tspec.ReasonAdded {
 						if mm, ok := spec.MethodByName(m); ok &&
 							mm.Category != tspec.CatConstructor && mm.Category != tspec.CatDestructor {
 							found = true
@@ -188,13 +188,25 @@ func TestDeriveHistoryOrigins(t *testing.T) {
 }
 
 func TestDeriveValidation(t *testing.T) {
-	opts := driver.Options{Seed: 1}
-	if _, err := Derive(oblist.Spec(), sortlist.Spec(), nil, opts); err == nil {
-		t.Error("nil parent suite should fail")
+	wrongParent := sortlist.Spec().Clone()
+	wrongParent.Class.Superclass = "SomeoneElse"
+	cases := []struct {
+		name          string
+		parent, child *tspec.Spec
+		suite         *driver.Suite
+		want          string
+	}{
+		{"nil parent suite", oblist.Spec(), sortlist.Spec(), nil, "requires the parent suite"},
+		{"reversed hierarchy", sortlist.Spec(), oblist.Spec(), parentSuite(t), "does not extend"},
+		{"superclass mismatch", oblist.Spec(), wrongParent, parentSuite(t), `superclass is "SomeoneElse"`},
 	}
-	// Mismatched hierarchy.
-	if _, err := Derive(sortlist.Spec(), oblist.Spec(), parentSuite(t), opts); err == nil {
-		t.Error("non-child spec should fail classification")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Derive(c.parent, c.child, c.suite, driver.Options{Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Derive = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package impact_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"concat/internal/core"
@@ -350,4 +351,71 @@ type jsonBuffer []byte
 func (b *jsonBuffer) Write(p []byte) (int, error) {
 	*b = append(*b, p...)
 	return len(p), nil
+}
+
+// clearEmpty sets every empty slice of r to nil: omitempty encodes both
+// alike, so a round trip cannot tell them apart.
+func clearEmpty(r *impact.Report) {
+	if len(r.Delta.Impacted) == 0 {
+		r.Delta.Impacted = nil
+	}
+	if len(r.Delta.Removed) == 0 {
+		r.Delta.Removed = nil
+	}
+	if len(r.Transactions) == 0 {
+		r.Transactions = nil
+	}
+	if len(r.Cases) == 0 {
+		r.Cases = nil
+	}
+	for i := range r.Transactions {
+		if len(r.Transactions[i].Reasons) == 0 {
+			r.Transactions[i].Reasons = nil
+		}
+	}
+}
+
+// FuzzImpactDecode feeds arbitrary bytes to impact.Decode: it never
+// panics, and a report it accepts encodes, then decodes, to an equal report.
+func FuzzImpactDecode(f *testing.F) {
+	seed := &impact.Report{
+		Version: impact.Version, Component: "ObList", Seed: 42,
+		OldSpecHash: "a", NewSpecHash: "b",
+		Delta: tspec.SpecDelta{
+			Impacted: []tspec.MethodDelta{{Method: "RemoveAt", Reason: tspec.ReasonDomainChanged}},
+			Removed:  []string{"Gone"}, ModelChanged: true,
+		},
+		Kept: 1, Rerun: 1, CacheHits: 1, CacheMisses: 1,
+		Transactions: []impact.TransactionImpact{{Transaction: "n1>n2", Kept: 1, Rerun: 1, Reasons: []string{"RemoveAt domain-changed"}}},
+		Cases: []impact.CaseImpact{
+			{CaseID: "TC0", Transaction: "n1>n2", Decision: impact.DecisionKept, Warm: true},
+			{CaseID: "TC1", Transaction: "n1>n2", Decision: impact.DecisionRerun, Reason: "RemoveAt domain-changed"},
+		},
+	}
+	raw, err := seed.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add([]byte(`{"version":1,"component":"A","cases":[],"delta":{"impacted":[]}}`))
+	f.Add([]byte(`{"version":99}`))
+	f.Add([]byte("null"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := impact.Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		back, err := impact.Decode(enc)
+		if err != nil {
+			t.Fatalf("encoded report does not decode: %v\n%s", err, enc)
+		}
+		clearEmpty(r)
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip changed the report:\nbefore %+v\nafter  %+v", r, back)
+		}
+	})
 }

@@ -20,6 +20,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{Store: fs})
 	absentID := strings.Repeat("a", 64)
+	oversized := `{"component": "Account", "methods": ["` + strings.Repeat("a", maxBodyBytes) + `"]}`
+	specRaw, _ := specJSON(t, "Account")
+	impactBody := `{"oldSpec": ` + string(specRaw) + `, "newSpec": ` + string(specRaw) + `}`
 
 	cases := []struct {
 		name   string
@@ -36,6 +39,14 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"submit unknown field", http.MethodPost, "/campaigns", `{"bogus": 1}`, http.StatusBadRequest},
 		{"submit unknown component", http.MethodPost, "/campaigns", `{"component": "NoSuch"}`, http.StatusBadRequest},
 		{"submit negative shards", http.MethodPost, "/campaigns", `{"component": "Account", "shards": -1}`, http.StatusBadRequest},
+		{"submit negative alt", http.MethodPost, "/campaigns", `{"component": "Account", "alt": -1}`, http.StatusBadRequest},
+		{"submit negative loop bound", http.MethodPost, "/campaigns", `{"component": "Account", "loopBound": -1}`, http.StatusBadRequest},
+		{"submit negative pool size", http.MethodPost, "/campaigns", `{"component": "Account", "poolSize": -1}`, http.StatusBadRequest},
+		{"submit trailing garbage", http.MethodPost, "/campaigns", `{"component": "Account"} garbage`, http.StatusBadRequest},
+		{"submit two values", http.MethodPost, "/campaigns", `{"component": "Account"} {"component": "Account"}`, http.StatusBadRequest},
+		{"submit oversized body", http.MethodPost, "/campaigns", oversized, http.StatusRequestEntityTooLarge},
+		{"impact trailing garbage", http.MethodPost, "/impact", impactBody + " garbage", http.StatusBadRequest},
+		{"impact oversized body", http.MethodPost, "/impact", oversized, http.StatusRequestEntityTooLarge},
 		{"campaigns wrong method", http.MethodDelete, "/campaigns", "", http.StatusMethodNotAllowed},
 		{"status wrong method", http.MethodPost, "/campaigns/zz", "", http.StatusMethodNotAllowed},
 		{"metrics wrong method", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
@@ -48,6 +59,8 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"shard done unknown campaign", http.MethodPost, "/work/zz/shards/0", `{"epoch": 1}`, http.StatusNotFound},
 		{"shard done malformed index", http.MethodPost, "/work/zz/shards/x", `{"epoch": 1}`, http.StatusBadRequest},
 		{"shard done malformed body", http.MethodPost, "/work/zz/shards/0", "{", http.StatusBadRequest},
+		{"shard done trailing data", http.MethodPost, "/work/zz/shards/0", `{"epoch": 1} {}`, http.StatusBadRequest},
+		{"shard done oversized body", http.MethodPost, "/work/zz/shards/0", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

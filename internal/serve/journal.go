@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -104,7 +105,17 @@ func (jn *Journal) Dir() string {
 // recordPath names a record file; zero-padded Seq keeps lexical directory
 // order equal to replay order.
 func (jn *Journal) recordPath(seq int) string {
-	return filepath.Join(jn.dir, fmt.Sprintf("job-%08d.json", seq))
+	return filepath.Join(jn.dir, recordName(seq))
+}
+
+func recordName(seq int) string {
+	return fmt.Sprintf("job-%08d.json", seq)
+}
+
+// valid reports whether the record is one a Server journals: a positive
+// Seq, the ID c<Seq> and a known job state.
+func (rec JobRecord) valid() bool {
+	return rec.Seq > 0 && rec.ID == fmt.Sprintf("c%d", rec.Seq) && slices.Contains(jobStates, rec.State)
 }
 
 // Append durably writes the record as the job's latest journaled state:
@@ -115,8 +126,8 @@ func (jn *Journal) Append(rec JobRecord) error {
 	if jn == nil {
 		return nil
 	}
-	if rec.Seq <= 0 || rec.ID == "" || rec.State == "" {
-		return fmt.Errorf("serve: journal record needs seq/id/state, got %+v", rec)
+	if !rec.valid() {
+		return fmt.Errorf("serve: journal record needs seq N > 0, id cN and a job state, got %+v", rec)
 	}
 	if f := jn.Faults; f != nil && f.JournalWrite != nil {
 		if err := f.JournalWrite(rec.ID); err != nil {
@@ -204,7 +215,8 @@ func (jn *Journal) LastCheckpoint() (Checkpoint, bool) {
 }
 
 // Replay loads every journaled job record in Seq order. A record that
-// cannot be read, parsed, or that fails basic validation is quarantined —
+// cannot be read or parsed, fails validation, or sits in a file not named
+// for its Seq (a copied record would replay a job twice) is quarantined —
 // renamed aside with a .corrupt suffix and counted — instead of aborting
 // the replay: one torn record must not strand every other campaign.
 func (jn *Journal) Replay() (recs []JobRecord, corrupt int, err error) {
@@ -230,7 +242,7 @@ func (jn *Journal) Replay() (recs []JobRecord, corrupt int, err error) {
 			continue
 		}
 		var rec JobRecord
-		if err := json.Unmarshal(raw, &rec); err != nil || rec.Seq <= 0 || rec.ID == "" || rec.State == "" {
+		if err := json.Unmarshal(raw, &rec); err != nil || !rec.valid() || name != recordName(rec.Seq) {
 			corrupt++
 			_ = os.Rename(path, path+".corrupt")
 			continue

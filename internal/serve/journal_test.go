@@ -141,6 +141,8 @@ func TestJournalRejectsInvalidRecord(t *testing.T) {
 		{},
 		{Seq: 1, State: StateQueued},
 		{Seq: 1, ID: "c1"},
+		{Seq: 1, ID: "c2", State: StateQueued},
+		{Seq: 1, ID: "c1", State: "exploded"},
 	} {
 		if err := jn.Append(rec); err == nil {
 			t.Errorf("Append(%+v) succeeded, want validation error", rec)
@@ -194,4 +196,84 @@ func TestOpenJournalValidates(t *testing.T) {
 	if _, err := OpenJournal(""); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("OpenJournal(\"\") = %v, want error", err)
 	}
+}
+
+// TestJournalReplayQuarantinesMisfiledRecords: a record that parses but
+// could not have been journaled under its file name is corrupt. A copied
+// record file would otherwise replay one job twice.
+func TestJournalReplayQuarantinesMisfiledRecords(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(JobRecord{Seq: 1, ID: "c1", Req: Request{Component: "Account"},
+		State: StateDone, Report: []byte("report\n")}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "job-00000001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"job-00000002.json": string(raw),                              // copy of c1
+		"job-00000003.json": `{"seq":3,"id":"c9","state":"done"}`,     // ID is not c<Seq>
+		"job-00000004.json": `{"seq":4,"id":"c4","state":"exploded"}`, // unknown state
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, _ := newTestServer(t, Config{Journal: jn})
+	<-s.ready
+	var ids []string
+	for _, j := range s.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	if len(ids) != 1 || ids[0] != "c1" {
+		t.Errorf("replayed jobs = %v, want [c1]", ids)
+	}
+	if got := counterValue(s, "journal.corrupt"); got != 3 {
+		t.Errorf("journal.corrupt = %d, want 3", got)
+	}
+	aside, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
+	if err != nil || len(aside) != 3 {
+		t.Errorf("records renamed aside = %v (%v), want 3", aside, err)
+	}
+}
+
+// FuzzJournalReplay feeds one arbitrary record file to Replay: it never
+// fails or panics, the file is either replayed or quarantined, and every
+// replayed record is one the server could have journaled under that name.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add(1, []byte(`{"id":"c1","req":{"component":"Account"},"seq":1,"state":"queued"}`))
+	f.Add(2, []byte(`{"id":"c1","req":{"component":"Account"},"seq":1,"state":"done"}`))
+	f.Add(3, []byte(`{"id":"c3","seq":3,"state":"exploded"}`))
+	f.Add(4, []byte(`{"id":"c4","seq":4,"state":"running","attempts":2,"summary":{"id":"c4"}}`))
+	f.Add(5, []byte("{torn"))
+	f.Add(0, []byte(`{"id":"c0","seq":0,"state":"queued"}`))
+	f.Fuzz(func(t *testing.T, seq int, data []byte) {
+		dir := t.TempDir()
+		jn, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := recordName(seq)
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Skip(err) // a name the filesystem refuses is not a record file
+		}
+		recs, corrupt, err := jn.Replay()
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if len(recs)+corrupt != 1 {
+			t.Fatalf("one record file gave %d records and %d corrupt", len(recs), corrupt)
+		}
+		for _, rec := range recs {
+			if !rec.valid() || recordName(rec.Seq) != name {
+				t.Fatalf("replayed an invalid record from %s: %+v", name, rec)
+			}
+		}
+	})
 }

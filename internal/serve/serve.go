@@ -819,8 +819,9 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if _, err := core.LookupTarget(req.Component); err != nil {
 		return nil, err
 	}
-	if req.Shards < 0 {
-		return nil, fmt.Errorf("serve: negative shard count %d", req.Shards)
+	if req.Shards < 0 || req.Alt < 0 || req.LoopBound < 0 || req.PoolSize < 0 {
+		return nil, fmt.Errorf("serve: negative shards/alt/loopBound/poolSize %d/%d/%d/%d",
+			req.Shards, req.Alt, req.LoopBound, req.PoolSize)
 	}
 	if req.Distributed && !store.Enabled(s.cfg.Store) {
 		return nil, errors.New("serve: distributed campaigns require a verdict store (start the coordinator with a cache directory)")
@@ -1406,15 +1407,40 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxBodyBytes caps every POST body. The largest legitimate body, an
+// impact submission carrying two t-spec documents, is tens of kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes a POST body holding exactly one JSON value
+// into v. An unknown field, anything but whitespace after the value, or
+// malformed JSON answers 400; a body over maxBodyBytes answers 413. It
+// reports whether v was decoded; when not, the response is written.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			apiError{Error: fmt.Sprintf("%s: body over %d bytes", what, maxBodyBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, apiError{Error: what + ": " + err.Error()})
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding request: " + err.Error()})
-		return
+	if decodeBody(w, r, "decoding request", &req) {
+		s.submitAndRespond(w, req)
 	}
-	s.submitAndRespond(w, req)
 }
 
 // handleImpact admits an impact submission: the same Request wire form with
@@ -1422,10 +1448,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // spec's class, so posting just the two spec documents works.
 func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding request: " + err.Error()})
+	if !decodeBody(w, r, "decoding request", &req) {
 		return
 	}
 	if len(req.OldSpec) == 0 || len(req.NewSpec) == 0 {

@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -322,10 +321,7 @@ func (s *Server) handleShardDone(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d ShardDone
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding completion: " + err.Error()})
+	if !decodeBody(w, r, "decoding completion", &d) {
 		return
 	}
 	id := r.PathValue("id")

@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"concat/internal/core/canon"
 	"concat/internal/serve/chaos"
 )
 
@@ -429,4 +432,34 @@ func TestConcurrentQuarantineCountedOnce(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt entry was not renamed aside: %v", err)
 	}
+}
+
+// FuzzDecodeEntry feeds arbitrary documents to decodeEntry: it never
+// panics, and an entry it accepts has a key hashing to the content address
+// and a value hashing to the embedded sum.
+func FuzzDecodeEntry(f *testing.F) {
+	for _, v := range []any{Verdict{Killed: true, Reason: 2}, map[string]int{"a": 1}, "x"} {
+		id, doc, err := encodeEntry(Key{Kind: KindMutantVerdict, Spec: "s", Suite: "u", Mutant: "m", Seed: 7}, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(id, doc)
+	}
+	f.Add("", []byte("{}"))
+	f.Add(strings.Repeat("0", 64), []byte(`{"key":{"kind":"suite-report"},"sum":"","value":null}`))
+	f.Fuzz(func(t *testing.T, id string, doc []byte) {
+		e, err := decodeEntry(id, doc)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if keyID, err := e.Key.ID(); err != nil || keyID != id {
+			t.Fatalf("accepted key hashes to %q (%v), want %q", keyID, err, id)
+		}
+		if sum, err := canon.HashRaw(e.Value); err != nil || sum != e.Sum {
+			t.Fatalf("accepted value hashes to %q (%v), want %q", sum, err, e.Sum)
+		}
+	})
 }

@@ -1,120 +1,176 @@
 package tspec
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// MethodStatus classifies a subclass method relative to its parent class,
-// following Harrold et al.'s incremental class testing model as adapted by
-// the paper (§3.4.2).
-type MethodStatus int
+// DiffSpecs is the one spec classifier. It compares two specs method by
+// method, keyed by name, and reports every method of the new spec whose
+// test cases the change invalidates, with the reason. Its two consumers read
+// the same delta:
+//
+//   - the incremental reuse of §3.4.2 (package history), after Harrold et
+//     al., reads it as each subclass method's status: reason ReasonAdded is
+//     new, any other reason is redefined, and a method the delta does not
+//     list is inherited;
+//   - the test-impact engine (package impact) keeps the cached verdicts of
+//     every case that touches no impacted method.
+//
+// The frame comes from the specs alone. When new names old as its
+// superclass, new is a subclass and its Redefined and ModifiedAttributes
+// clauses describe the subclass itself, so every entry counts. Otherwise old
+// and new are two revisions of one class, and only entries newly listed in
+// those clauses count.
+func DiffSpecs(old, new *Spec) SpecDelta {
+	var d SpecDelta
 
-// Method classifications.
+	// In the subclass frame the old spec's own clauses are no baseline.
+	var oldRedef, oldModAttr map[string]bool
+	if new.Class.Superclass == "" || new.Class.Superclass != old.Class.Name {
+		oldRedef, oldModAttr = nameSet(old.Redefined), nameSet(old.ModifiedAttributes)
+	}
+	// An attribute counts as modified when flagged, when its declared domain
+	// changed, or when it is new — any of these can change invariant
+	// checking and reporter behavior for the methods using it.
+	modAttrs := map[string]bool{}
+	for _, name := range new.ModifiedAttributes {
+		if !oldModAttr[name] {
+			modAttrs[name] = true
+		}
+	}
+	for _, a := range new.Attributes {
+		oldA, ok := old.AttributeByName(a.Name)
+		if !ok || !sameDomainDecl(oldA.Domain, a.Domain) {
+			modAttrs[a.Name] = true
+		}
+	}
+	redefined := map[string]bool{}
+	for _, name := range new.Redefined {
+		if !oldRedef[name] {
+			redefined[name] = true
+		}
+	}
+
+	for _, m := range new.Methods {
+		oldM, inOld := old.MethodByName(m.Name)
+		switch {
+		case !inOld:
+			d.Impacted = append(d.Impacted, MethodDelta{m.Name, ReasonAdded})
+		case !sameSignatureShape(oldM, m):
+			d.Impacted = append(d.Impacted, MethodDelta{m.Name, ReasonSignatureChanged})
+		case !sameSignature(oldM, m):
+			d.Impacted = append(d.Impacted, MethodDelta{m.Name, ReasonDomainChanged})
+		case redefined[m.Name]:
+			d.Impacted = append(d.Impacted, MethodDelta{m.Name, ReasonRedefined})
+		case usesModified(m, modAttrs):
+			d.Impacted = append(d.Impacted, MethodDelta{m.Name, ReasonUsesModifiedAttribute})
+		}
+	}
+	sort.Slice(d.Impacted, func(i, j int) bool { return d.Impacted[i].Method < d.Impacted[j].Method })
+
+	for _, m := range old.Methods {
+		if _, inNew := new.MethodByName(m.Name); !inNew {
+			d.Removed = append(d.Removed, m.Name)
+		}
+	}
+	sort.Strings(d.Removed)
+
+	d.ModelChanged = modelChanged(old, new)
+	return d
+}
+
+// Impact reasons, ordered by precedence (the first matching reason wins).
 const (
-	// StatusInherited: present in the parent with the same specification and
-	// not reimplemented — its parent test cases remain valid.
-	StatusInherited MethodStatus = iota + 1
-	// StatusRedefined: reimplemented in the subclass (listed in Redefined),
-	// touched by a modified attribute, or its specification changed.
-	StatusRedefined
-	// StatusNew: not present in the parent.
-	StatusNew
+	// ReasonAdded: the method does not exist in the old spec.
+	ReasonAdded = "added"
+	// ReasonSignatureChanged: name/return/category/parameter structure moved
+	// — the non-domain part of the signature Harrold's model freezes.
+	ReasonSignatureChanged = "signature-changed"
+	// ReasonDomainChanged: same structure, but a parameter's declared value
+	// domain moved, so generated inputs may differ.
+	ReasonDomainChanged = "domain-changed"
+	// ReasonRedefined: listed in the spec's Redefined clause — the
+	// implementation was replaced without a spec change, which still
+	// invalidates observed behavior.
+	ReasonRedefined = "redefined"
+	// ReasonUsesModifiedAttribute: the method Uses an attribute that is
+	// listed in ModifiedAttributes, new, or whose declared domain changed
+	// (§3.4.2: methods using a modified attribute are considered modified).
+	ReasonUsesModifiedAttribute = "uses-modified-attribute"
 )
 
-// String names the status.
-func (s MethodStatus) String() string {
-	switch s {
-	case StatusInherited:
-		return "inherited"
-	case StatusRedefined:
-		return "redefined"
-	case StatusNew:
-		return "new"
-	default:
-		return fmt.Sprintf("status(%d)", int(s))
-	}
+// MethodDelta is one impacted method with the reason its verdicts are
+// invalidated.
+type MethodDelta struct {
+	Method string `json:"method"`
+	Reason string `json:"reason"`
 }
 
-// Classification maps each subclass method name to its status.
-type Classification map[string]MethodStatus
-
-// Counts returns the number of methods in each status.
-func (c Classification) Counts() (inherited, redefined, added int) {
-	for _, st := range c {
-		switch st {
-		case StatusInherited:
-			inherited++
-		case StatusRedefined:
-			redefined++
-		case StatusNew:
-			added++
-		}
-	}
-	return inherited, redefined, added
+// SpecDelta is the result of DiffSpecs.
+type SpecDelta struct {
+	// Impacted lists methods (present in the new spec) whose cached results
+	// are invalid, sorted by method name.
+	Impacted []MethodDelta `json:"impacted,omitempty"`
+	// Removed lists methods present only in the old spec, sorted. Their
+	// cases vanish from the generated suite on their own; the field exists
+	// for reporting.
+	Removed []string `json:"removed,omitempty"`
+	// ModelChanged reports that the TFM (nodes or edges) differs, so the
+	// transaction enumeration itself may have moved. The impact engine does
+	// not need a per-edge attribution: regenerated transactions reveal
+	// themselves by case-content comparison.
+	ModelChanged bool `json:"modelChanged,omitempty"`
 }
 
-// Names returns the sorted method names with the given status.
-func (c Classification) Names(st MethodStatus) []string {
-	var out []string
-	for name, got := range c {
-		if got == st {
-			out = append(out, name)
-		}
+// Empty reports a no-op edit: nothing impacted, nothing removed, same model.
+func (d SpecDelta) Empty() bool {
+	return len(d.Impacted) == 0 && len(d.Removed) == 0 && !d.ModelChanged
+}
+
+// ImpactedSet returns the impacted method names as a set.
+func (d SpecDelta) ImpactedSet() map[string]bool {
+	out := make(map[string]bool, len(d.Impacted))
+	for _, m := range d.Impacted {
+		out[m.Method] = true
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Classify diffs a child spec against its parent and classifies every child
-// method. The child must name the parent class as its superclass. The rules,
-// per §3.4.2 and the Harrold model it adapts:
-//
-//   - a method absent from the parent is New;
-//   - a method listed in the child's Redefined clause is Redefined;
-//   - a method whose Uses set intersects the child's ModifiedAttributes is
-//     Redefined ("in case an attribute is modified, the methods using it are
-//     considered as modified");
-//   - a method whose specification differs from the parent's (signature,
-//     return, category) is Redefined — the model forbids signature changes,
-//     so such a difference is treated as a spec modification that forces
-//     regeneration;
-//   - otherwise the method is Inherited.
-//
-// Constructors and destructors are classified like every other method; the
-// transaction-level reuse logic in package history applies the paper's
-// special rule (they are excluded from the modification test) itself.
-func Classify(parent, child *Spec) (Classification, error) {
-	if child.Class.Superclass != parent.Class.Name {
-		return nil, fmt.Errorf("tspec: %q does not extend %q (superclass is %q)",
-			child.Class.Name, parent.Class.Name, child.Class.Superclass)
-	}
-	redefined := map[string]bool{}
-	for _, name := range child.Redefined {
-		redefined[name] = true
-	}
-	modAttrs := map[string]bool{}
-	for _, name := range child.ModifiedAttributes {
-		modAttrs[name] = true
-	}
-
-	out := make(Classification, len(child.Methods))
-	for _, m := range child.Methods {
-		parentM, inParent := parent.MethodByName(m.Name)
-		switch {
-		case !inParent:
-			out[m.Name] = StatusNew
-		case redefined[m.Name]:
-			out[m.Name] = StatusRedefined
-		case usesModified(m, modAttrs):
-			out[m.Name] = StatusRedefined
-		case !sameSignature(parentM, m):
-			out[m.Name] = StatusRedefined
-		default:
-			out[m.Name] = StatusInherited
+// ImpactedReason returns the recorded reason for an impacted method, or "".
+func (d SpecDelta) ImpactedReason(method string) string {
+	for _, m := range d.Impacted {
+		if m.Method == method {
+			return m.Reason
 		}
 	}
-	return out, nil
+	return ""
+}
+
+// Split sorts the method names of new, the spec the delta was computed
+// for, into the three §3.4.2 statuses: reason ReasonAdded is new, any other
+// reason redefined, and a method the delta does not list inherited. Each
+// list is sorted.
+func (d SpecDelta) Split(new *Spec) (inherited, redefined, added []string) {
+	for _, m := range new.Methods {
+		switch d.ImpactedReason(m.Name) {
+		case "":
+			inherited = append(inherited, m.Name)
+		case ReasonAdded:
+			added = append(added, m.Name)
+		default:
+			redefined = append(redefined, m.Name)
+		}
+	}
+	sort.Strings(inherited)
+	sort.Strings(redefined)
+	sort.Strings(added)
+	return inherited, redefined, added
+}
+
+func nameSet(names []string) map[string]bool {
+	out := make(map[string]bool, len(names))
+	for _, name := range names {
+		out[name] = true
+	}
+	return out
 }
 
 func usesModified(m Method, modAttrs map[string]bool) bool {
@@ -126,10 +182,11 @@ func usesModified(m Method, modAttrs map[string]bool) bool {
 	return false
 }
 
-// sameSignature reports whether two method declarations agree on the parts
-// Harrold's model freezes: name, return type, category, and the ordered
-// parameter list (names, domain kinds and declared domains).
-func sameSignature(a, b Method) bool {
+// sameSignatureShape checks the non-domain part of sameSignature: name,
+// return, category and the ordered parameter names. Splitting it out lets
+// DiffSpecs distinguish a structural signature change from a pure domain
+// move.
+func sameSignatureShape(a, b Method) bool {
 	if a.Name != b.Name || a.Return != b.Return || a.Category != b.Category {
 		return false
 	}
@@ -140,6 +197,18 @@ func sameSignature(a, b Method) bool {
 		if a.Params[i].Name != b.Params[i].Name {
 			return false
 		}
+	}
+	return true
+}
+
+// sameSignature reports whether two method declarations agree on the parts
+// Harrold's model freezes: the shape sameSignatureShape checks plus every
+// parameter's declared domain.
+func sameSignature(a, b Method) bool {
+	if !sameSignatureShape(a, b) {
+		return false
+	}
+	for i := range a.Params {
 		if !sameDomainDecl(a.Params[i].Domain, b.Params[i].Domain) {
 			return false
 		}
@@ -171,4 +240,27 @@ func sameDomainDecl(a, b DomainDecl) bool {
 		}
 	}
 	return true
+}
+
+func modelChanged(old, new *Spec) bool {
+	if len(old.Nodes) != len(new.Nodes) || len(old.Edges) != len(new.Edges) {
+		return true
+	}
+	for i, n := range new.Nodes {
+		o := old.Nodes[i]
+		if o.ID != n.ID || o.Start != n.Start || len(o.Methods) != len(n.Methods) {
+			return true
+		}
+		for j := range n.Methods {
+			if o.Methods[j] != n.Methods[j] {
+				return true
+			}
+		}
+	}
+	for i, e := range new.Edges {
+		if old.Edges[i] != e {
+			return true
+		}
+	}
+	return false
 }

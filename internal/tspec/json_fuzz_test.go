@@ -24,9 +24,9 @@ func jsonSeed(f *testing.F, src string) []byte {
 // FuzzJSONRoundTrip asserts the JSON wire form's contract: arbitrary bytes
 // never panic LoadJSON, and any input that loads AND validates must survive
 // SaveJSON -> LoadJSON with no observable difference — byte-identical
-// re-serialization, and diff.go's Classify finding every method Inherited
-// (i.e. no signature drift) when the round-tripped spec is framed as a
-// subclass of the original. Run with `go test -fuzz FuzzJSONRoundTrip` for a
+// re-serialization, and DiffSpecs reporting an empty delta (no signature
+// drift) whether the round-tripped spec is framed as the next revision of
+// the original or as a subclass of it. Run with `go test -fuzz FuzzJSONRoundTrip` for a
 // real campaign; the seed corpus runs in ordinary `go test`.
 func FuzzJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(""))
@@ -94,24 +94,22 @@ func FuzzJSONRoundTrip(f *testing.F) {
 				overloaded = true
 			}
 		}
-		// For specs without overloads, Classify end to end must also report
-		// no difference: frame the round-tripped spec as a direct subclass
-		// with nothing redefined — every method must classify Inherited.
-		// (With overloads, name-keyed Classify conservatively reports the
-		// extra overloads redefined, so the framing doesn't apply.)
+		// For specs without overloads, DiffSpecs end to end must also report
+		// no difference, in both frames: the round-tripped spec as the next
+		// revision of the original, and as a direct subclass of it with
+		// nothing redefined. (With overloads, the name-keyed diff
+		// conservatively reports the extra overloads, so neither applies.)
 		if !overloaded {
+			if d := DiffSpecs(spec, back); !d.Empty() {
+				t.Fatalf("round trip changed the spec: revision delta %+v", d)
+			}
 			child := back.Clone()
+			child.Class.Name = spec.Class.Name + "Sub"
 			child.Class.Superclass = spec.Class.Name
 			child.Redefined = nil
 			child.ModifiedAttributes = nil
-			cls, err := Classify(spec, child)
-			if err != nil {
-				t.Fatalf("Classify on round-tripped spec: %v", err)
-			}
-			for name, st := range cls {
-				if st != StatusInherited {
-					t.Fatalf("round trip changed method %q: classified %s, want inherited", name, st)
-				}
+			if d := DiffSpecs(spec, child); !d.Empty() {
+				t.Fatalf("round trip changed the spec: subclass delta %+v", d)
 			}
 		}
 	})

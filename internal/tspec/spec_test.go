@@ -293,122 +293,6 @@ func TestDomainDeclBuild(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	parent := baseBuilder().MustBuild()
-	child, err := NewBuilder("Sub").
-		Extends("Base").
-		Attribute("count", RangeInt(0, 100)).
-		Attribute("extra", RangeInt(0, 5)).
-		Method("m1", "Sub", "", CatConstructor).
-		Method("m2", "~Sub", "", CatDestructor).
-		Method("m3", "Add", "", CatUpdate).
-		Param("v", RangeInt(1, 10)).
-		Uses("count").
-		Method("m4", "Get", "int", CatAccess).
-		Method("m5", "Reset", "", CatUpdate).
-		Uses("extra").
-		Redefines("Get").
-		Node("n1", true, "m1").
-		Node("n2", false, "m3").
-		Node("n3", false, "m4").
-		Node("n4", false, "m5").
-		Node("n5", false, "m2").
-		Edge("n1", "n2").
-		Edge("n2", "n3").
-		Edge("n3", "n4").
-		Edge("n2", "n5").
-		Edge("n4", "n5").
-		Build()
-	if err != nil {
-		t.Fatalf("build child: %v", err)
-	}
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	want := map[string]MethodStatus{
-		"Sub":   StatusNew, // constructors differ by name from parent's
-		"~Sub":  StatusNew,
-		"Add":   StatusInherited,
-		"Get":   StatusRedefined, // explicit Redefines
-		"Reset": StatusNew,
-	}
-	for name, st := range want {
-		if cls[name] != st {
-			t.Errorf("Classify[%s] = %s, want %s", name, cls[name], st)
-		}
-	}
-	inh, red, nw := cls.Counts()
-	if inh != 1 || red != 1 || nw != 3 {
-		t.Errorf("counts = %d/%d/%d", inh, red, nw)
-	}
-	if names := cls.Names(StatusNew); len(names) != 3 || names[0] != "Reset" {
-		t.Errorf("Names(new) = %v", names)
-	}
-}
-
-func TestClassifyModifiedAttributes(t *testing.T) {
-	parent := baseBuilder().MustBuild()
-	child := parent.Clone()
-	child.Class.Name = "Sub"
-	child.Class.Superclass = "Base"
-	child.ModifiedAttributes = []string{"count"}
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	// "Add" Uses count, so it becomes redefined; "Get" does not.
-	if cls["Add"] != StatusRedefined {
-		t.Errorf("Add = %s, want redefined", cls["Add"])
-	}
-	if cls["Get"] != StatusInherited {
-		t.Errorf("Get = %s, want inherited", cls["Get"])
-	}
-}
-
-func TestClassifySignatureChange(t *testing.T) {
-	parent := baseBuilder().MustBuild()
-	child := parent.Clone()
-	child.Class.Name = "Sub"
-	child.Class.Superclass = "Base"
-	// Widen Add's parameter domain: spec change forces regeneration.
-	child.Methods[2].Params[0].Domain = RangeInt(1, 1000)
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	if cls["Add"] != StatusRedefined {
-		t.Errorf("Add = %s, want redefined after domain change", cls["Add"])
-	}
-}
-
-func TestClassifyWrongParent(t *testing.T) {
-	parent := baseBuilder().MustBuild()
-	child := parent.Clone()
-	child.Class.Name = "Sub"
-	child.Class.Superclass = "SomeoneElse"
-	if _, err := Classify(parent, child); err == nil {
-		t.Error("Classify with mismatched superclass should fail")
-	}
-}
-
-func TestMethodStatusString(t *testing.T) {
-	tests := []struct {
-		s    MethodStatus
-		want string
-	}{
-		{StatusInherited, "inherited"},
-		{StatusRedefined, "redefined"},
-		{StatusNew, "new"},
-		{MethodStatus(9), "status(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.s.String(); got != tt.want {
-			t.Errorf("String() = %q, want %q", got, tt.want)
-		}
-	}
-}
-
 func TestSameSignatureVariants(t *testing.T) {
 	base := Method{Name: "f", Return: "int", Category: CatAccess,
 		Params: []Param{{Name: "a", Domain: RangeInt(0, 5)}}}
