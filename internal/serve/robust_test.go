@@ -323,11 +323,14 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{Workers: 1, Journal: jn2})
-	t.Cleanup(srv2.Close)
+	// The stub must be in place before start runs the workers and
+	// re-enqueues the replayed jobs, or they would race the assignment.
+	srv2 := newServer(Config{Workers: 1, Journal: jn2})
 	srv2.campaign = func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("replayed " + j.ID + "\n"), nil
 	}
+	srv2.start()
+	t.Cleanup(srv2.Close)
 	if got := counterValue(srv2, "journal.replayed"); got != 2 {
 		t.Fatalf("replayed %d jobs, want 2", got)
 	}

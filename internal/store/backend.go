@@ -77,8 +77,13 @@ func BackendStats(b Backend) Stats {
 // key and the value's canonical hash, so any reader can verify it without
 // trusting the writer; the same (key, value) pair always encodes
 // byte-identical documents on any node.
+//
+// The key and the value are each encoded once. The document is the
+// canonical encoding of entry{Key, Sum, Value}, assembled from those
+// already-canonical parts: its members "key", "sum", "value" are in sorted
+// order and the hex sum needs no escaping.
 func encodeEntry(k Key, value any) (id string, doc []byte, err error) {
-	id, err = k.ID()
+	rawKey, id, err := k.encode()
 	if err != nil {
 		return "", nil, err
 	}
@@ -86,15 +91,16 @@ func encodeEntry(k Key, value any) (id string, doc []byte, err error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("store: encoding value for %s: %w", id, err)
 	}
-	sum, err := canon.HashRaw(rawVal)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: hashing value for %s: %w", id, err)
-	}
-	doc, err = canon.Marshal(entry{Key: k, Sum: sum, Value: rawVal})
-	if err != nil {
-		return "", nil, fmt.Errorf("store: encoding entry %s: %w", id, err)
-	}
-	return id, append(doc, '\n'), nil
+	sum := canon.Sum(rawVal)
+	doc = make([]byte, 0, len(`{"key":,"sum":"","value":}`)+len(rawKey)+len(sum)+len(rawVal)+1)
+	doc = append(doc, `{"key":`...)
+	doc = append(doc, rawKey...)
+	doc = append(doc, `,"sum":"`...)
+	doc = append(doc, sum...)
+	doc = append(doc, `","value":`...)
+	doc = append(doc, rawVal...)
+	doc = append(doc, "}\n"...)
+	return id, doc, nil
 }
 
 // decodeEntry verifies a document against its content address — the key

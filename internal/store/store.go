@@ -61,10 +61,20 @@ const (
 // ID returns the key's content address: the hex SHA-256 of its canonical
 // encoding.
 func (k Key) ID() (string, error) {
+	_, id, err := k.encode()
+	return id, err
+}
+
+// encode returns the key's canonical encoding and its content address.
+func (k Key) encode() (doc []byte, id string, err error) {
 	if k.Kind == "" {
-		return "", errors.New("store: key has no kind")
+		return nil, "", errors.New("store: key has no kind")
 	}
-	return canon.Hash(k)
+	doc, err = canon.Marshal(k)
+	if err != nil {
+		return nil, "", err
+	}
+	return doc, canon.Sum(doc), nil
 }
 
 // Verdict is the cached outcome of one mutant run — the persistent form of
