@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"concat/internal/analysis"
 )
 
 // TestEventsHeadersFlushedBeforeFirstEvent pins the subscribe-time flush: a
@@ -21,10 +19,10 @@ func TestEventsHeadersFlushedBeforeFirstEvent(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		close(started)
 		<-release
-		return nil, []byte("stub report\n"), nil
+		return outcome{report: []byte("stub report\n")}, nil
 	}
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestJournalAppendReplayRoundTrip(t *testing.T) {
@@ -276,4 +280,108 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplayParentJournal replays a journal written by the previous release
+// of the service (testdata/journal-parent: a done mutation job, a done
+// impact job, a quarantined job and a job queued for its third attempt).
+// The statuses after replay must be byte-equal to the ones that release
+// served, the journaled report, coverage and impact bytes must be served
+// verbatim, the queued job must re-run as attempt 3, and the terminal record
+// it then writes must be byte-equal to the one that release wrote.
+func TestReplayParentJournal(t *testing.T) {
+	golden := filepath.Join("testdata", "journal-parent")
+	dir := t.TempDir()
+	recs := map[string]JobRecord{}
+	for seq := 1; seq <= 4; seq++ {
+		raw, err := os.ReadFile(filepath.Join(golden, recordName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, recordName(seq)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rec JobRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		recs[rec.ID] = rec
+	}
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Journal: jn})
+	if got := counterValue(s, "journal.replayed"); got != 1 {
+		t.Errorf("replayed %d pending jobs, want 1 (c4)", got)
+	}
+	j4, ok := s.Job("c4")
+	if !ok {
+		t.Fatal("queued job c4 not replayed")
+	}
+	waitDone(t, j4)
+	s.waitIdle(time.Time{}) // the terminal record is journaled after Done closes
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	want, err := os.ReadFile(filepath.Join(golden, "status.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := get("/campaigns"); !bytes.Equal(got, want) {
+		t.Errorf("statuses after replay deviate from the parent's:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	for _, id := range []string{"c1", "c2"} {
+		rec := recs[id]
+		for path, want := range map[string][]byte{
+			"/report": rec.Report, "/coverage": rec.Artifact, "/impact": rec.Impact,
+		} {
+			code, got := get("/campaigns/" + id + path)
+			if len(want) == 0 {
+				if code != http.StatusNotFound {
+					t.Errorf("%s%s = HTTP %d, want 404", id, path, code)
+				}
+				continue
+			}
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%s%s = HTTP %d, not the journaled bytes", id, path, code)
+			}
+		}
+	}
+	if code, _ := get("/campaigns/c3/report"); code != http.StatusInternalServerError {
+		t.Errorf("quarantined c3 report = HTTP %d, want 500", code)
+	}
+	if a := j4.Attempts(); a != 3 {
+		t.Errorf("c4 attempts = %d, want 3", a)
+	}
+	// c1..c3 are terminal and never rewritten; c4's done record is the one
+	// the parent journaled for the same history.
+	for seq := 1; seq <= 4; seq++ {
+		wantPath := filepath.Join(golden, recordName(seq))
+		if seq == 4 {
+			wantPath = filepath.Join(golden, "after", recordName(seq))
+		}
+		want, err := os.ReadFile(wantPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, recordName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("journal record %s deviates from the parent's:\n--- got ---\n%s\n--- want ---\n%s", recordName(seq), got, want)
+		}
+	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"concat/internal/analysis"
 	"concat/internal/sandbox"
 	"concat/internal/serve/chaos"
 )
@@ -59,10 +59,10 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 3})
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		started <- j.ID
 		<-release
-		return nil, []byte("stub report\n"), nil
+		return outcome{report: []byte("stub report\n")}, nil
 	}
 	defer close(release)
 	for i := 0; i < 4; i++ {
@@ -103,8 +103,8 @@ func TestWorkerPanicRetriesThenSucceeds(t *testing.T) {
 		}
 	}}
 	s, ts := newTestServer(t, Config{Retry: fastRetry(3), Faults: faults})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
-		return nil, []byte("stub report\n"), nil
+	s.campaign = func(j *Job) (outcome, error) {
+		return outcome{report: []byte("stub report\n")}, nil
 	}
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
@@ -134,8 +134,8 @@ func TestPoisonJobQuarantined(t *testing.T) {
 		panic("poison")
 	}}
 	s, ts := newTestServer(t, Config{Retry: fastRetry(2), Faults: faults})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
-		return nil, []byte("unreachable\n"), nil
+	s.campaign = func(j *Job) (outcome, error) {
+		return outcome{report: []byte("unreachable\n")}, nil
 	}
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
@@ -172,12 +172,12 @@ func TestLeaseReclaimOfWedgedWorker(t *testing.T) {
 	var attempts atomic.Int64
 	wedged := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 1, Lease: 50 * time.Millisecond, Retry: fastRetry(3)})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		if attempts.Add(1) == 1 {
 			<-wedged
-			return nil, []byte("stale result from the wedged attempt\n"), nil
+			return outcome{report: []byte("stale result from the wedged attempt\n")}, nil
 		}
-		return nil, []byte("fresh result\n"), nil
+		return outcome{report: []byte("fresh result\n")}, nil
 	}
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
@@ -209,10 +209,10 @@ func TestDrainRejectsThenCheckpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Journal: jn})
 	release := make(chan struct{})
 	started := make(chan string, 1)
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		started <- j.ID
 		<-release
-		return nil, []byte("stub report\n"), nil
+		return outcome{report: []byte("stub report\n")}, nil
 	}
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
@@ -268,7 +268,7 @@ func TestDrainDeadlineLeavesJobsJournaled(t *testing.T) {
 	s := New(Config{Workers: 1, Journal: jn})
 	t.Cleanup(s.Close)
 	started := make(chan string, 1)
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		started <- j.ID
 		select {} // wedged until the process "dies"
 	}
@@ -307,7 +307,7 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	}
 	srv1 := New(Config{Workers: 1, Journal: jn1})
 	started := make(chan string, 1)
-	srv1.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	srv1.campaign = func(j *Job) (outcome, error) {
 		started <- j.ID
 		select {} // the process dies mid-campaign
 	}
@@ -326,8 +326,8 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	// The stub must be in place before start runs the workers and
 	// re-enqueues the replayed jobs, or they would race the assignment.
 	srv2 := newServer(Config{Workers: 1, Journal: jn2})
-	srv2.campaign = func(j *Job) (*analysis.Result, []byte, error) {
-		return nil, []byte("replayed " + j.ID + "\n"), nil
+	srv2.campaign = func(j *Job) (outcome, error) {
+		return outcome{report: []byte("replayed " + j.ID + "\n")}, nil
 	}
 	srv2.start()
 	t.Cleanup(srv2.Close)
@@ -361,6 +361,50 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	waitDone(t, j3)
 }
 
+// TestReplayedExhaustedJobQuarantined: a job journaled as running on its
+// last budgeted attempt lost its holder when the process died. Replay
+// applies the lease table's reclaim rule and quarantines it instead of
+// granting an attempt past the budget, so a job that kills the process on
+// every attempt stops crash-looping the service.
+func TestReplayedExhaustedJobQuarantined(t *testing.T) {
+	jn, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(JobRecord{Seq: 1, ID: "c1", Req: Request{Component: "Account"},
+		State: StateRunning, Attempts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(Config{Workers: 1, Journal: jn, Retry: fastRetry(3)})
+	var ran atomic.Int64
+	s.campaign = func(j *Job) (outcome, error) {
+		ran.Add(1)
+		return outcome{report: []byte("ran past the budget\n")}, nil
+	}
+	s.start()
+	t.Cleanup(s.Close)
+	j, ok := s.Job("c1")
+	if !ok {
+		t.Fatal("job not replayed")
+	}
+	waitDone(t, j)
+	s.waitIdle(time.Time{})
+	st := j.Status()
+	if st.State != StateQuarantined || st.Attempts != 3 || !strings.Contains(st.Error, "exited mid-attempt") {
+		t.Errorf("replayed exhausted job = %+v, want quarantined after 3 attempts", st)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("campaign ran %d time(s) past the budget", n)
+	}
+	if got := counterValue(s, "jobs.quarantined"); got != 1 {
+		t.Errorf("quarantine counter = %d, want 1", got)
+	}
+	recs, _, err := jn.Replay()
+	if err != nil || len(recs) != 1 || recs[0].State != StateQuarantined {
+		t.Errorf("journal after replay = %+v, %v; want c1 quarantined", recs, err)
+	}
+}
+
 func TestRestartRestoresTerminalJobs(t *testing.T) {
 	dir := t.TempDir()
 	jn1, err := OpenJournal(dir)
@@ -368,8 +412,8 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1 := New(Config{Workers: 1, Journal: jn1})
-	srv1.campaign = func(j *Job) (*analysis.Result, []byte, error) {
-		return nil, []byte("finished report\n"), nil
+	srv1.campaign = func(j *Job) (outcome, error) {
+		return outcome{report: []byte("finished report\n")}, nil
 	}
 	j, err := srv1.Submit(Request{Component: "Account"})
 	if err != nil {
@@ -401,7 +445,7 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 		t.Errorf("restored state = %q", st.State)
 	}
 	r.mu.Lock()
-	report := r.report
+	report := r.out.report
 	r.mu.Unlock()
 	if !bytes.Equal(report, []byte("finished report\n")) {
 		t.Errorf("restored report = %q", report)

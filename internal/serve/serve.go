@@ -12,11 +12,17 @@
 // become runnable, so a process death at any point — including SIGKILL
 // between the journal append and execution — replays every pending and
 // running campaign on restart, where warm verdict-store hits make the
-// replay cheap and byte-identical. Each execution attempt runs under a
-// lease: a worker that panics, wedges past the lease, or dies mid-campaign
-// has its job reclaimed and retried with deterministic capped exponential
-// backoff (sandbox.Retry semantics), and a poison job that keeps failing is
-// quarantined after its attempt budget instead of crash-looping forever.
+// replay cheap and byte-identical. Every job has one lifecycle, whatever
+// its kind (local, distributed or impact). Each execution attempt holds a
+// lease in the server's one lease table (lease.go), as does each shard of a
+// distributed attempt. A lease is a row with a table-wide epoch token, one
+// concluder and one reclaim rule. A worker that panics, wedges past the
+// lease, or dies mid-campaign has its job reclaimed and retried with
+// deterministic capped exponential backoff (sandbox.Retry semantics), and a
+// poison job that keeps failing is quarantined after its attempt budget
+// instead of crash-looping forever. Every attempt yields one outcome
+// (report, coverage, impact artifact, status counts), and the job stores it
+// only after the attempt wins its conclusion.
 // Drain stops admission with an accurate Retry-After and lets in-flight
 // jobs finish before shutdown. The chaos kit (internal/serve/chaos) injects
 // every one of those faults in regression tests.
@@ -48,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"concat/internal/analysis"
 	"concat/internal/core"
 	"concat/internal/cover"
 	"concat/internal/driver"
@@ -214,24 +219,14 @@ type Job struct {
 	// seq is the numeric suffix of ID, journaled so replayed servers keep
 	// allocating IDs after the highest seen.
 	seq int
+	// leases is the server's lease table, which owns the job's attempts.
+	leases *leaseTable
 
-	mu       sync.Mutex
-	state    string
-	attempts int // execution attempts begun
-	epoch    int // current attempt token; stale attempts fail endAttempt
-	terminal bool
-	errMsg   string
-	result   *analysis.Result
-	report   []byte
-	coverage *cover.SuiteCoverage
-	artifact []byte
-	// impactRep/impactArt hold an impact job's decoded report and its
-	// canonical artifact bytes; both nil for mutation campaigns.
-	impactRep *impact.Report
-	impactArt []byte
-	// restored holds the terminal status snapshot of a job replayed from
-	// the journal, whose *analysis.Result no longer exists in memory.
-	restored *Status
+	mu     sync.Mutex
+	state  string
+	errMsg string
+	// out is the campaign's outcome, stored once the job is done.
+	out outcome
 	// enqueuedAt is when the job last entered the queued state, feeding
 	// the queue-age gauge. Wall-clock; never journaled.
 	enqueuedAt time.Time
@@ -240,38 +235,26 @@ type Job struct {
 	done  chan struct{}
 }
 
-// beginAttempt starts one execution attempt: bumps the attempt counter,
-// invalidates any stale attempt's token, and moves the job to running. It
-// returns the new attempt's token and ordinal.
-func (j *Job) beginAttempt() (token, attempt int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.attempts++
-	j.epoch++
-	j.state = StateRunning
-	return j.epoch, j.attempts
+// outcome is what one campaign attempt produces, for every job kind
+// (local, distributed, impact): the report bytes, the coverage summary and
+// canonical artifact, the canonical impact artifact (impact jobs only), and
+// the Status counts.
+type outcome struct {
+	report   []byte
+	coverage *cover.SuiteCoverage
+	artifact []byte
+	impact   []byte
+	counts   Status
 }
 
-// endAttempt claims the right to conclude the job for the attempt holding
-// token. Exactly one concluder wins per attempt: a lease reclaim that beat
-// the (wedged, now stale) worker makes the worker's late result a no-op,
-// and vice versa.
-func (j *Job) endAttempt(token int) bool {
+// setState moves a live job to queued or running; queued stamps the
+// queue-age clock.
+func (j *Job) setState(state string) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.terminal || j.epoch != token {
-		return false
+	j.state = state
+	if state == StateQueued {
+		j.enqueuedAt = time.Now()
 	}
-	j.epoch++
-	return true
-}
-
-// setQueued parks the job in the queued state (admission, replay, retry)
-// and stamps the queue-age clock.
-func (j *Job) setQueued() {
-	j.mu.Lock()
-	j.state = StateQueued
-	j.enqueuedAt = time.Now()
 	j.mu.Unlock()
 }
 
@@ -287,13 +270,13 @@ func (j *Job) queueState() (state string, queuedAt time.Time) {
 	return j.state, j.enqueuedAt
 }
 
-// finishDone moves the job to its terminal done state and releases waiters.
-func (j *Job) finishDone(res *analysis.Result, report []byte) {
+// finish moves the job to a terminal state — done with its outcome, or
+// failed/quarantined with msg — and releases waiters.
+func (j *Job) finish(state string, out outcome, msg string) {
 	j.mu.Lock()
-	j.state = StateDone
-	j.result = res
-	j.report = report
-	j.terminal = true
+	j.state = state
+	j.out = out
+	j.errMsg = msg
 	j.mu.Unlock()
 	// Close the trace stream before publishing the verdict so a client that
 	// saw "done" never blocks on a still-open stream.
@@ -301,63 +284,15 @@ func (j *Job) finishDone(res *analysis.Result, report []byte) {
 	close(j.done)
 }
 
-// finishFailed moves the job to a terminal failure state (failed or
-// quarantined) and releases waiters.
-func (j *Job) finishFailed(state, msg string) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = msg
-	j.terminal = true
-	j.mu.Unlock()
-	j.trace.Close()
-	close(j.done)
-}
-
 // Attempts returns how many execution attempts have begun.
-func (j *Job) Attempts() int {
+func (j *Job) Attempts() int { return j.leases.row(j.ID).attempts }
+
+// coverage returns the job's suite coverage (nil until the campaign
+// finished).
+func (j *Job) coverage() *cover.SuiteCoverage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// setCoverage records the campaign's coverage summary and its encoded
-// canonical artifact; runCampaign calls it before the job finishes. A
-// stale attempt's late write is dropped once the job is terminal.
-func (j *Job) setCoverage(sc *cover.SuiteCoverage, artifact []byte) {
-	j.mu.Lock()
-	if !j.terminal {
-		j.coverage = sc
-		j.artifact = artifact
-	}
-	j.mu.Unlock()
-}
-
-// Coverage returns the job's suite coverage (nil until the campaign
-// computed it) and the encoded canonical artifact.
-func (j *Job) Coverage() (*cover.SuiteCoverage, []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.coverage, j.artifact
-}
-
-// setImpact records an impact job's report and canonical artifact;
-// runImpact calls it before the job finishes. Like setCoverage, a stale
-// attempt's late write is dropped once the job is terminal.
-func (j *Job) setImpact(rep *impact.Report, artifact []byte) {
-	j.mu.Lock()
-	if !j.terminal {
-		j.impactRep = rep
-		j.impactArt = artifact
-	}
-	j.mu.Unlock()
-}
-
-// Impact returns the encoded impact artifact (nil for mutation campaigns
-// and until the impact run finished).
-func (j *Job) Impact() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.impactArt
+	return j.out.coverage
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -377,13 +312,13 @@ func (j *Job) record() JobRecord {
 		ID:       j.ID,
 		Req:      j.Req,
 		State:    j.state,
-		Attempts: j.attempts,
+		Attempts: j.leases.row(j.ID).attempts,
 		Error:    j.errMsg,
 	}
 	if j.state == StateDone {
-		rec.Report = j.report
-		rec.Artifact = j.artifact
-		rec.Impact = j.impactArt
+		rec.Report = j.out.report
+		rec.Artifact = j.out.artifact
+		rec.Impact = j.out.impact
 		st := j.statusLocked()
 		rec.Summary = &st
 	}
@@ -425,38 +360,10 @@ func (j *Job) Status() Status {
 }
 
 func (j *Job) statusLocked() Status {
-	st := Status{ID: j.ID, Component: j.Req.Component, State: j.state, Attempts: j.attempts, Error: j.errMsg}
-	switch {
-	case j.result != nil:
-		tab := j.result.Tabulate()
-		st.Mutants = tab.Total.Mutants
-		st.Killed = tab.Total.Killed
-		st.Equivalent = tab.Total.Equivalent
-		st.Survivors = tab.Total.Mutants - tab.Total.Killed - tab.Total.Equivalent
-		st.CacheHits = j.result.CacheHits
-		st.CacheMisses = j.result.CacheMisses
-	case j.impactRep != nil:
-		st.Kept = j.impactRep.Kept
-		st.Rerun = j.impactRep.Rerun
-		st.Regenerated = j.impactRep.Regenerated
-		st.CacheHits = j.impactRep.CacheHits
-		st.CacheMisses = j.impactRep.CacheMisses
-	case j.restored != nil:
-		st.Mutants = j.restored.Mutants
-		st.Killed = j.restored.Killed
-		st.Equivalent = j.restored.Equivalent
-		st.Survivors = j.restored.Survivors
-		st.CacheHits = j.restored.CacheHits
-		st.CacheMisses = j.restored.CacheMisses
-		st.Kept = j.restored.Kept
-		st.Rerun = j.restored.Rerun
-		st.Regenerated = j.restored.Regenerated
-	}
-	if j.coverage != nil {
-		st.Coverage = j.coverage.Summary()
-	} else if j.restored != nil {
-		st.Coverage = j.restored.Coverage
-	}
+	st := j.out.counts
+	st.ID, st.Component, st.State, st.Error = j.ID, j.Req.Component, j.state, j.errMsg
+	st.Attempts = j.leases.row(j.ID).attempts
+	st.ShardsDone, st.Shards = j.leases.progress(j.ID)
 	return st
 }
 
@@ -487,7 +394,8 @@ type Config struct {
 	Retry sandbox.RetryPolicy
 	// Lease bounds one execution attempt (default DefaultLease). An attempt
 	// still running past its lease is presumed wedged: the job is reclaimed
-	// and retried, and the stale attempt's eventual result is discarded.
+	// and retried, the attempt's shard leases are retired with it, and the
+	// stale attempt's eventual result is discarded.
 	Lease time.Duration
 	// ShardLease bounds one worker's lease on one shard of a distributed
 	// campaign (default DefaultShardLease). A shard not completed within
@@ -615,14 +523,13 @@ type Server struct {
 	subMu     sync.Mutex
 	subs      map[*subscriber]struct{}
 
-	// workMu guards the shard sets of in-flight distributed campaigns,
-	// appended in job order so /work/lease serves older campaigns first.
-	workMu    sync.Mutex
-	shardSets []*shardSet
+	// leases is the one lease table: every job's attempt row and the shard
+	// rows of open distributed attempts (lease.go).
+	leases *leaseTable
 
-	// campaign executes one job's analysis; tests substitute a stub to pin
+	// campaign executes one job attempt; tests substitute a stub to pin
 	// workers at a controlled point. Set before the first Submit.
-	campaign func(*Job) (*analysis.Result, []byte, error)
+	campaign func(*Job) (outcome, error)
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -670,6 +577,7 @@ func newServer(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: obs.NewMetrics(),
 		journal: cfg.Journal,
+		leases:  newLeaseTable(cfg.retryPolicy().Attempts),
 		jobs:    map[string]*Job{},
 		ready:   make(chan struct{}),
 	}
@@ -714,12 +622,18 @@ func (s *Server) start() {
 	}
 	pending := s.replayJournal()
 	for _, j := range pending {
+		s.metrics.Inc("journal.replayed", 1)
 		s.mu.Lock()
-		s.queued++
 		s.active++
 		s.mu.Unlock()
-		j.setQueued()
-		s.metrics.Inc("journal.replayed", 1)
+		if row := s.leases.row(j.ID); row.state == rowExhausted {
+			s.settle(j, row.attempts, row.state, outcome{}, errors.New("the process exited mid-attempt"), 0)
+			continue
+		}
+		s.mu.Lock()
+		s.queued++
+		s.mu.Unlock()
+		j.setState(StateQueued)
 		s.journalJob(j) // persist running -> queued reclaims
 		s.logf("serve: %s replayed from journal (%s, attempts %d)", j.ID, j.Req.Component, j.Attempts())
 		select {
@@ -745,37 +659,26 @@ func (s *Server) replayJournal() []*Job {
 	}
 	var pending []*Job
 	for _, rec := range recs {
-		j := &Job{
-			ID:       rec.ID,
-			Req:      rec.Req,
-			seq:      rec.Seq,
-			attempts: rec.Attempts,
-			trace:    obs.NewBroadcastCapped(s.cfg.traceCap()),
-			done:     make(chan struct{}),
-		}
-		switch rec.State {
-		case StateDone, StateFailed, StateQuarantined:
-			j.state = rec.State
-			j.errMsg = rec.Error
-			j.report = rec.Report
-			j.artifact = rec.Artifact
-			j.impactArt = rec.Impact
-			j.restored = rec.Summary
+		j := s.newJob(rec.Seq, rec.Req)
+		terminal := rec.State == StateDone || rec.State == StateFailed || rec.State == StateQuarantined
+		// A queued or running record's holder is gone: the table re-queues
+		// it while the retry budget lasts. attempts keeps counting the
+		// interrupted try, so a job that kills the process on every attempt
+		// converges to quarantine instead of crash-looping the service.
+		s.leases.add(j.ID, rec.Attempts, terminal)
+		if terminal {
+			out := outcome{report: rec.Report, artifact: rec.Artifact, impact: rec.Impact}
+			if rec.Summary != nil {
+				out.counts = *rec.Summary
+			}
 			if len(rec.Artifact) > 0 {
 				if art, err := cover.Decode(rec.Artifact); err == nil {
-					j.coverage = art.Suite
+					out.coverage = art.Suite
+					out.counts.Coverage = art.Suite.Summary()
 				}
 			}
-			j.terminal = true
-			j.trace.Close()
-			close(j.done)
-		default:
-			// Queued, or running in a process that no longer exists: the
-			// write-ahead record is the job now. Re-queue it; attempts
-			// keeps counting the interrupted try, so a job that kills the
-			// process on every attempt converges to quarantine instead of
-			// crash-looping the service forever.
-			j.state = StateQueued
+			j.finish(rec.State, out, rec.Error)
+		} else {
 			pending = append(pending, j)
 		}
 		// NewStarting replays with the HTTP surface already live, so the
@@ -804,6 +707,20 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) journalJob(j *Job) {
 	if err := s.journal.Append(j.record()); err != nil {
 		s.logf("serve: journaling %s: %v", j.ID, err)
+	}
+}
+
+// newJob builds job c<seq> in the queued state.
+func (s *Server) newJob(seq int, req Request) *Job {
+	return &Job{
+		ID:         fmt.Sprintf("c%d", seq),
+		seq:        seq,
+		Req:        req,
+		leases:     s.leases,
+		state:      StateQueued,
+		enqueuedAt: time.Now(),
+		trace:      obs.NewBroadcastCapped(s.cfg.traceCap()),
+		done:       make(chan struct{}),
 	}
 }
 
@@ -858,21 +775,14 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	seq := s.nextID + 1
-	j := &Job{
-		ID:         fmt.Sprintf("c%d", seq),
-		seq:        seq,
-		Req:        req,
-		state:      StateQueued,
-		enqueuedAt: time.Now(),
-		trace:      obs.NewBroadcastCapped(s.cfg.traceCap()),
-		done:       make(chan struct{}),
-	}
+	j := s.newJob(seq, req)
 	// Write-ahead: the journal append precedes every other effect. A
 	// submission the journal cannot make durable is refused outright.
 	if err := s.journal.Append(j.record()); err != nil {
 		return nil, err
 	}
 	chaos.Kill(chaos.PointSubmitJournaled)
+	s.leases.add(j.ID, 0, false)
 	s.nextID = seq
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
@@ -1051,81 +961,110 @@ func (s *Server) worker() {
 	}
 }
 
-// jobOutcome is one attempt's result, shipped from the campaign goroutine
-// to the lease-holding worker.
-type jobOutcome struct {
-	res      *analysis.Result
-	report   []byte
+// attemptResult is one attempt's result, shipped from the campaign
+// goroutine to the lease-holding worker.
+type attemptResult struct {
+	out      outcome
 	err      error
 	panicked bool
 }
 
-// runJob executes one lease-bounded attempt of the job: journal the
-// running state, run the campaign in a goroutine the worker can abandon,
-// and conclude with exactly one of done / failed / retry / quarantine. A
-// wedged campaign loses its lease and its late result is discarded; a
-// panicking campaign is contained and retried; shutdown mid-attempt leaves
-// the job journaled as running for the next process to reclaim.
+// runJob executes one lease-bounded attempt of the job: take the job's
+// lease, journal the running state, run the campaign in a goroutine the
+// worker can abandon, and conclude with exactly one of done / failed /
+// retry / quarantine. A wedged campaign loses its lease to reclaim and its
+// late result is discarded; a panicking campaign is contained and retried;
+// shutdown mid-attempt leaves the job journaled as running for the next
+// process to reclaim.
 func (s *Server) runJob(j *Job) {
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
-	token, attempt := j.beginAttempt()
+	token, attempt, ok := s.leases.grant(j.ID, time.Now(), s.cfg.lease())
+	if !ok {
+		// Only a queued job's row is pending; a second copy in the queue
+		// would be a bug, and must not start a second attempt.
+		s.logf("serve: %s dequeued without a pending lease row", j.ID)
+		return
+	}
+	j.setState(StateRunning)
 	s.logf("serve: %s running (attempt %d)", j.ID, attempt)
 	s.journalJob(j)
 	chaos.Kill(chaos.PointJobRunning)
 	start := time.Now()
-	ch := make(chan jobOutcome, 1)
+	ch := make(chan attemptResult, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- jobOutcome{err: fmt.Errorf("worker panic: %v", r), panicked: true}
+				ch <- attemptResult{err: fmt.Errorf("worker panic: %v", r), panicked: true}
 			}
 		}()
 		if f := s.cfg.Faults; f != nil && f.CampaignStart != nil {
 			f.CampaignStart(j.ID, attempt)
 		}
-		res, report, err := s.campaign(j)
-		ch <- jobOutcome{res: res, report: report, err: err}
+		out, err := s.campaign(j)
+		ch <- attemptResult{out: out, err: err}
 	}()
+	leaseLost := fmt.Errorf("lease expired after %s", s.cfg.lease())
 	lease := time.NewTimer(s.cfg.lease())
 	defer lease.Stop()
 	select {
-	case o := <-ch:
-		if !j.endAttempt(token) {
-			return // the attempt was reclaimed; drop the stale result
+	case r := <-ch:
+		retry := r.err != nil && (r.panicked || sandbox.Transient(r.err))
+		state, won := s.leases.conclude(j.ID, token, retry)
+		if !won {
+			// A /work/lease scan reclaimed the attempt before it concluded.
+			r.err = leaseLost
 		}
-		switch {
-		case o.err == nil:
-			chaos.Kill(chaos.PointDonePrejournal)
-			j.finishDone(o.res, o.report)
-			s.metrics.Inc("job.outcome.done", 1)
-			s.jobTerminal(j, time.Since(start))
-			s.logf("serve: %s done", j.ID)
-		case o.panicked || sandbox.Transient(o.err):
-			s.retryOrQuarantine(j, attempt, o.err.Error())
-		default:
-			// A deterministic campaign error: retrying would fail the same
-			// way (sandbox.Retry's contract), so fail immediately.
-			j.finishFailed(StateFailed, o.err.Error())
-			s.metrics.Inc("job.outcome.failed", 1)
-			s.jobTerminal(j, time.Since(start))
-			s.logf("serve: %s failed: %v", j.ID, o.err)
-		}
+		s.settle(j, attempt, state, r.out, r.err, time.Since(start))
 	case <-lease.C:
-		if !j.endAttempt(token) {
-			return
-		}
-		s.metrics.Inc("lease.reclaims", 1)
-		s.retryOrQuarantine(j, attempt, fmt.Sprintf("lease expired after %s", s.cfg.lease()))
+		// Past the deadline, so reclaim takes the attempt back (unless a
+		// /work/lease scan already did) and the stale result is discarded.
+		s.reclaim(time.Now())
+		s.settle(j, attempt, s.leases.row(j.ID).state, outcome{}, leaseLost, 0)
 	case <-s.stop:
 		// Shutdown mid-attempt: the job stays journaled as running and the
 		// next process reclaims it.
 	}
 }
 
-// jobTerminal journals the job's terminal record, retires it from the
-// active set, and (for completed attempts) feeds the duration ring.
-func (s *Server) jobTerminal(j *Job, dur time.Duration) {
+// reclaim applies the lease table's deadline rule to every row — the job
+// lease timer and the /work/lease scan both call it — and counts what it
+// took back.
+func (s *Server) reclaim(now time.Time) {
+	for _, k := range s.leases.reclaim(now) {
+		if k.shard == jobRow {
+			s.metrics.Inc("lease.reclaims", 1)
+			s.logf("serve: %s attempt lease reclaimed", k.job)
+		} else {
+			s.metrics.Inc("shard.reclaims", 1)
+			s.logf("serve: %s shard %d lease reclaimed", k.job, k.shard)
+		}
+	}
+}
+
+// settle follows up an ended attempt from the state the lease table left
+// its row in. Pending re-queues the job after its deterministic backoff;
+// exhausted quarantines it; done finishes it with the attempt's outcome,
+// or fails it on a deterministic campaign error — retrying would fail the
+// same way (sandbox.Retry's contract). A terminal job is journaled,
+// retired from the active set and, unless quarantined, its duration feeds
+// the Retry-After estimate.
+func (s *Server) settle(j *Job, attempt int, row rowState, out outcome, err error, dur time.Duration) {
+	state, msg := StateDone, ""
+	switch {
+	case row == rowPending:
+		s.retry(j, attempt, err)
+		return
+	case row == rowExhausted:
+		state, msg, out, dur = StateQuarantined, fmt.Sprintf("quarantined after %d attempts: %v", attempt, err), outcome{}, 0
+		s.metrics.Inc("jobs.quarantined", 1)
+	case err != nil:
+		state, msg, out = StateFailed, err.Error(), outcome{}
+	default:
+		chaos.Kill(chaos.PointDonePrejournal)
+	}
+	j.finish(state, out, msg)
+	s.metrics.Inc("job.outcome."+state, 1)
 	s.journalJob(j)
 	s.mu.Lock()
 	s.active--
@@ -1133,26 +1072,20 @@ func (s *Server) jobTerminal(j *Job, dur time.Duration) {
 	if dur > 0 {
 		s.recordDuration(dur)
 	}
+	if msg != "" {
+		msg = ": " + msg
+	}
+	s.logf("serve: %s %s%s", j.ID, state, msg)
 }
 
-// retryOrQuarantine concludes a crashed or reclaimed attempt: re-queue the
-// job after its deterministic backoff while the retry budget lasts, park it
-// in quarantine once the budget is spent.
-func (s *Server) retryOrQuarantine(j *Job, attempt int, cause string) {
+// retry re-queues the job after its deterministic backoff.
+func (s *Server) retry(j *Job, attempt int, cause error) {
 	p := s.cfg.retryPolicy()
-	if attempt >= p.Attempts {
-		j.finishFailed(StateQuarantined, fmt.Sprintf("quarantined after %d attempts: %s", attempt, cause))
-		s.metrics.Inc("jobs.quarantined", 1)
-		s.metrics.Inc("job.outcome.quarantined", 1)
-		s.jobTerminal(j, 0)
-		s.logf("serve: %s quarantined after %d attempts: %s", j.ID, attempt, cause)
-		return
-	}
 	s.metrics.Inc("job.retries", 1)
-	j.setQueued()
+	j.setState(StateQueued)
 	s.journalJob(j)
 	delay := backoffDelay(p, attempt)
-	s.logf("serve: %s attempt %d failed (%s); retry %d/%d in %s", j.ID, attempt, cause, attempt+1, p.Attempts, delay)
+	s.logf("serve: %s attempt %d failed (%v); retry %d/%d in %s", j.ID, attempt, cause, attempt+1, p.Attempts, delay)
 	go func() {
 		t := time.NewTimer(delay)
 		defer t.Stop()
@@ -1171,10 +1104,11 @@ func (s *Server) retryOrQuarantine(j *Job, attempt int, cause string) {
 	}()
 }
 
-// runCampaign executes one job, dispatching impact submissions to the
-// impact engine, distributed submissions to the shard coordinator
-// (work.go) and everything else to the local path.
-func (s *Server) runCampaign(j *Job) (*analysis.Result, []byte, error) {
+// runCampaign executes one job attempt, dispatching impact submissions to
+// the impact engine, distributed submissions to the shard coordinator
+// (work.go) and everything else to the local path. All three return the
+// same outcome.
+func (s *Server) runCampaign(j *Job) (outcome, error) {
 	if j.Req.Impact() {
 		return s.runImpact(j)
 	}
@@ -1190,14 +1124,14 @@ func (s *Server) runCampaign(j *Job) (*analysis.Result, []byte, error) {
 // byte-identical to a cold full run of the new spec's suite. The job's
 // report is the rendered impact table plus the suite report and coverage
 // summary; the canonical impact artifact is served on /campaigns/{id}/impact.
-func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
+func (s *Server) runImpact(j *Job) (outcome, error) {
 	t, err := core.LookupTarget(j.Req.Component)
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	oldSpec, newSpec, err := j.Req.impactSpecs()
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	comp := t.New(nil)
 	exec := j.Req.execOptions()
@@ -1214,36 +1148,40 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 	}
 	res, err := r.Run(oldSpec, newSpec)
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	if err := exec.Trace.Err(); err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	s.metrics.Inc("impact.kept", int64(res.Report.Kept))
 	s.metrics.Inc("impact.rerun", int64(res.Report.Rerun))
 	s.metrics.Inc("impact.regenerated", int64(res.Report.Regenerated))
-	encodedCov, err := res.Coverage.Encode()
-	if err != nil {
-		return nil, nil, err
+	out := outcome{coverage: res.Coverage.Suite, counts: Status{
+		Kept:        res.Report.Kept,
+		Rerun:       res.Report.Rerun,
+		Regenerated: res.Report.Regenerated,
+		CacheHits:   res.Report.CacheHits,
+		CacheMisses: res.Report.CacheMisses,
+		Coverage:    res.Coverage.Suite.Summary(),
+	}}
+	if out.artifact, err = res.Coverage.Encode(); err != nil {
+		return outcome{}, err
 	}
-	j.setCoverage(res.Coverage.Suite, encodedCov)
-	encodedImpact, err := res.Report.Encode()
-	if err != nil {
-		return nil, nil, err
+	if out.impact, err = res.Report.Encode(); err != nil {
+		return outcome{}, err
 	}
-	j.setImpact(res.Report, encodedImpact)
 	var buf strings.Builder
 	if err := res.Report.Render(&buf); err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	fmt.Fprintf(&buf, "%s: %s\n", j.Req.Component, res.Suite.Stats())
 	fmt.Fprintln(&buf, res.Final.Summary())
 	for _, f := range res.Final.Failures() {
 		fmt.Fprintf(&buf, "  FAIL %s (%s): %s — %s\n", f.CaseID, f.Transaction, f.Outcome, f.Detail)
 	}
-	buf.WriteString(res.Coverage.Suite.Summary())
-	buf.WriteString("\n")
-	return nil, []byte(buf.String()), nil
+	fmt.Fprintln(&buf, out.counts.Coverage)
+	out.report = []byte(buf.String())
+	return out, nil
 }
 
 // runLocal is the single-process campaign path. It doubles as the
@@ -1251,14 +1189,14 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 // published its verdicts into the shared store, this same code re-runs the
 // full campaign warm — all cache hits — and renders the byte-identical
 // report and coverage artifact a single process would have produced.
-func (s *Server) runLocal(j *Job) (*analysis.Result, []byte, error) {
+func (s *Server) runLocal(j *Job) (outcome, error) {
 	t, err := core.LookupTarget(j.Req.Component)
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	suite, err := t.New(nil).GenerateSuite(j.Req.genOptions())
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	exec := j.Req.execOptions()
 	exec.Trace = obs.NewTracer(j.trace)
@@ -1269,31 +1207,39 @@ func (s *Server) runLocal(j *Job) (*analysis.Result, []byte, error) {
 		Store:       s.store,
 	})
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	if err := exec.Trace.Err(); err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	g, err := t.New(nil).Spec().TFM()
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	art, err := cover.FromCampaign(g, suite, res)
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
-	encoded, err := art.Encode()
-	if err != nil {
-		return nil, nil, err
+	tab := res.Tabulate()
+	out := outcome{coverage: art.Suite, counts: Status{
+		Mutants:     tab.Total.Mutants,
+		Killed:      tab.Total.Killed,
+		Equivalent:  tab.Total.Equivalent,
+		Survivors:   tab.Total.Mutants - tab.Total.Killed - tab.Total.Equivalent,
+		CacheHits:   res.CacheHits,
+		CacheMisses: res.CacheMisses,
+		Coverage:    art.Suite.Summary(),
+	}}
+	if out.artifact, err = art.Encode(); err != nil {
+		return outcome{}, err
 	}
-	j.setCoverage(art.Suite, encoded)
 	var buf strings.Builder
-	if err := res.Tabulate().Render(&buf); err != nil {
-		return nil, nil, err
+	if err := tab.Render(&buf); err != nil {
+		return outcome{}, err
 	}
-	buf.WriteString(art.Suite.Summary())
-	buf.WriteString("\n")
-	return res, []byte(buf.String()), nil
+	fmt.Fprintln(&buf, out.counts.Coverage)
+	out.report = []byte(buf.String())
+	return out, nil
 }
 
 // Handler returns the HTTP API:
@@ -1333,9 +1279,15 @@ func (s *Server) Handler() http.Handler {
 	handle("POST", "/impact", s.handleImpact)
 	handle("GET", "/campaigns", s.handleList)
 	handle("GET", "/campaigns/{id}", s.handleStatus)
-	handle("GET", "/campaigns/{id}/report", s.handleReport)
-	handle("GET", "/campaigns/{id}/coverage", s.handleCoverage)
-	handle("GET", "/campaigns/{id}/impact", s.handleImpactArtifact)
+	handle("GET", "/campaigns/{id}/report", func(w http.ResponseWriter, r *http.Request) {
+		s.serveOutcome(w, r, "report", "text/plain; charset=utf-8", func(o outcome) []byte { return o.report })
+	})
+	handle("GET", "/campaigns/{id}/coverage", func(w http.ResponseWriter, r *http.Request) {
+		s.serveOutcome(w, r, "coverage artifact", "application/json", func(o outcome) []byte { return o.artifact })
+	})
+	handle("GET", "/campaigns/{id}/impact", func(w http.ResponseWriter, r *http.Request) {
+		s.serveOutcome(w, r, "impact artifact", "application/json", func(o outcome) []byte { return o.impact })
+	})
 	handle("GET", "/campaigns/{id}/events", s.handleEvents)
 	handle("POST", "/work/lease", s.handleWorkLease)
 	handle("POST", "/work/{id}/shards/{shard}", s.handleShardDone)
@@ -1485,14 +1437,14 @@ func (s *Server) submitAndRespond(w http.ResponseWriter, req Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.status(j))
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.Jobs()
 	statuses := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
-		statuses = append(statuses, s.status(j))
+		statuses = append(statuses, j.Status())
 	}
 	writeJSON(w, http.StatusOK, statuses)
 }
@@ -1507,13 +1459,17 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookup(w, r); ok {
-		writeJSON(w, http.StatusOK, s.status(j))
+		writeJSON(w, http.StatusOK, j.Status())
 	}
 }
 
-// handleReport blocks until the job finishes (or the client goes away) and
-// serves the rendered table — the same bytes `concat mutate` prints.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+// serveOutcome blocks until the job finishes (or the client goes away) and
+// serves one part of its outcome verbatim: the rendered report (the bytes
+// `concat mutate` prints), the canonical coverage artifact (what `concat
+// mutate -cover` writes) or the canonical impact artifact (what `concat
+// impact -json` prints). A failed or quarantined job answers 500 with its
+// cause, an absent part (mutation campaigns have no impact artifact) 404.
+func (s *Server) serveOutcome(w http.ResponseWriter, r *http.Request, what, contentType string, part func(outcome) []byte) {
 	j, ok := s.lookup(w, r)
 	if !ok {
 		return
@@ -1521,71 +1477,20 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.Done():
 	case <-r.Context().Done():
-		return
-	}
-	st := j.Status()
-	if st.State == StateFailed || st.State == StateQuarantined {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: st.Error})
 		return
 	}
 	j.mu.Lock()
-	report := j.report
+	state, msg, body := j.state, j.errMsg, part(j.out)
 	j.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write(report)
-}
-
-// handleCoverage blocks until the job finishes and serves the canonical
-// coverage artifact — the same bytes `concat mutate -cover` writes.
-func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
+	switch {
+	case state != StateDone:
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: msg})
+	case len(body) == 0:
+		writeJSON(w, http.StatusNotFound, apiError{Error: "campaign " + j.ID + " has no " + what})
+	default:
+		w.Header().Set("Content-Type", contentType)
+		_, _ = w.Write(body)
 	}
-	select {
-	case <-j.Done():
-	case <-r.Context().Done():
-		return
-	}
-	st := j.Status()
-	if st.State == StateFailed || st.State == StateQuarantined {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: st.Error})
-		return
-	}
-	_, artifact := j.Coverage()
-	if len(artifact) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "campaign " + j.ID + " has no coverage artifact"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(artifact)
-}
-
-// handleImpactArtifact blocks until the job finishes and serves the
-// canonical impact artifact — the same bytes `concat impact -json` prints.
-// Mutation campaigns have none and answer 404.
-func (s *Server) handleImpactArtifact(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	select {
-	case <-j.Done():
-	case <-r.Context().Done():
-		return
-	}
-	st := j.Status()
-	if st.State == StateFailed || st.State == StateQuarantined {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: st.Error})
-		return
-	}
-	artifact := j.Impact()
-	if len(artifact) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "campaign " + j.ID + " has no impact artifact"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(artifact)
 }
 
 // handleMetrics renders the live Prometheus text surface from one
@@ -1626,7 +1531,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.Jobs() {
 		state, queuedAt := j.queueState()
 		states[state]++
-		if sc, _ := j.Coverage(); sc != nil {
+		if sc := j.coverage(); sc != nil {
 			snap.Gauges[obs.Labeled("campaign_transaction_coverage_ratio", "id", j.ID, "component", j.Req.Component)] =
 				sc.TransactionPercent() / 100
 		}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"concat/internal/analysis"
 	"concat/internal/core"
 	"concat/internal/cover"
 	"concat/internal/driver"
@@ -410,10 +409,10 @@ func TestQueueFullRejectsWith503(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	started := make(chan string, 4)
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	s.campaign = func(j *Job) (outcome, error) {
 		started <- j.ID
 		<-release
-		return nil, []byte("stub report\n"), nil
+		return outcome{report: []byte("stub report\n")}, nil
 	}
 
 	first, code := submit(t, ts, Request{Component: "Account", Seed: 1})

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path"
 	"strconv"
 	"strings"
 	"testing"
@@ -268,7 +270,7 @@ func TestShardProgressInStatus(t *testing.T) {
 	if mid.Shards != 2 || mid.ShardsDone != 1 {
 		t.Errorf("mid-campaign status shards = %d/%d, want 1/2 done", mid.ShardsDone, mid.Shards)
 	}
-	// Finish the campaign so server shutdown doesn't wait out the backstop.
+	// Finish the campaign so server shutdown doesn't wait out the job lease.
 	lease2, ok := postLease(t, ts)
 	if !ok {
 		t.Fatal("no lease for the second shard")
@@ -281,4 +283,130 @@ func TestShardProgressInStatus(t *testing.T) {
 	if final.Shards != 0 || final.ShardsDone != 0 {
 		t.Errorf("terminal status still advertises shard progress: %d/%d", final.ShardsDone, final.Shards)
 	}
+}
+
+// TestReclaimedAttemptRetiresItsShardLeases: when the job lease reclaims a
+// distributed attempt, that attempt's shard leases die with it. A dead
+// holder leases a shard under attempt 1; nobody else leases anything until
+// attempt 2 has started. Every lease handed out must carry its own
+// (job, shard, epoch), the attempt-1 holder's completion must be refused
+// with 409, and the attempt-2 holders' completions accepted with 204.
+func TestReclaimedAttemptRetiresItsShardLeases(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: store.NewMem(), Lease: 150 * time.Millisecond,
+		ShardLease: 30 * time.Second, Retry: fastRetry(3)})
+	st, code := submit(t, ts, Request{Component: "Account", Distributed: true, Shards: 2})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	var stale ShardLease
+	for {
+		if l, ok := postLease(t, ts); ok {
+			stale = l
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("attempt 1 never offered a shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if a := getStatus(t, ts, st.ID).Attempts; a != 1 {
+		t.Fatalf("dead holder leased under attempt %d, want 1", a)
+	}
+	for {
+		if cur := getStatus(t, ts, st.ID); cur.Attempts >= 2 && cur.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("attempt 2 never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Lease until the coordinator has nothing left, having seen both shards.
+	var leases []ShardLease
+	live := map[int]ShardLease{}
+	for {
+		l, ok := postLease(t, ts)
+		if !ok {
+			if len(live) == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("attempt 2 offered shards %v, want both", live)
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		leases = append(leases, l)
+		live[l.Shard] = l
+	}
+	type token struct {
+		job          string
+		shard, epoch int
+	}
+	seen := map[token]bool{}
+	for _, l := range append([]ShardLease{stale}, leases...) {
+		k := token{l.Job, l.Shard, l.Epoch}
+		if seen[k] {
+			t.Errorf("lease (%s, shard %d, epoch %d) handed out twice", k.job, k.shard, k.epoch)
+		}
+		seen[k] = true
+	}
+	if code := postDone(t, ts, stale, ""); code != http.StatusConflict {
+		t.Errorf("attempt-1 holder's completion = HTTP %d, want 409", code)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if code := postDone(t, ts, live[shard], ""); code != http.StatusNoContent {
+			t.Errorf("live holder's completion of shard %d = HTTP %d, want 204", shard, code)
+		}
+	}
+}
+
+// FuzzShardCompletion posts arbitrary shard path segments and bodies to
+// /work/{id}/shards/{shard} of a coordinator whose distributed job c1 has
+// both shards leased (epochs 2 and 3). The only answers are 204 applied,
+// 400 malformed, 404 unknown campaign, 409 stale and 413 oversized, and
+// nothing panics.
+func FuzzShardCompletion(f *testing.F) {
+	f.Add("c1", "0", []byte(`{"epoch":2}`))
+	f.Add("c1", "1", []byte(`{"epoch":3,"error":"boom"}`))
+	f.Add("c1", "1", []byte(`{"epoch":2}`))
+	f.Add("c1", "2", []byte(`{"epoch":2}`))
+	f.Add("c1", "-1", []byte(`{"epoch":2}`))
+	f.Add("c1", "x", []byte(`{"epoch":2}`))
+	f.Add("c9", "0", []byte(`{"epoch":2}`))
+	f.Add("c1", "0", []byte(`{"epoch":2} {}`))
+	f.Add("c1", "0", []byte(`{"epoch":"2"}`))
+	f.Add("c1", "0", []byte(`{"epoch":2,"extra":1}`))
+	f.Fuzz(func(t *testing.T, id, shard string, body []byte) {
+		req, err := http.NewRequest(http.MethodPost,
+			"/work/"+url.PathEscape(id)+"/shards/"+url.PathEscape(shard), bytes.NewReader(body))
+		if err != nil || path.Clean(req.URL.Path) != req.URL.Path {
+			t.Skip("not a routable completion path") // the mux redirects or rejects it
+		}
+		s := newServer(Config{Store: store.NewMem()})
+		j := s.newJob(1, Request{Component: "Account", Distributed: true, Shards: 2})
+		s.jobs[j.ID] = j
+		s.leases.add(j.ID, 0, false)
+		now := time.Now()
+		if _, _, ok := s.leases.grant(j.ID, now, time.Hour); !ok {
+			t.Fatal("job attempt not granted")
+		}
+		if _, ok := s.leases.openShards(j.ID, 2); !ok {
+			t.Fatal("shards not opened")
+		}
+		for i := 0; i < 2; i++ {
+			if _, ok := s.leaseShard(now); !ok {
+				t.Fatal("shard not leased")
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound,
+			http.StatusConflict, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("POST %s = HTTP %d: %s", req.URL.Path, rec.Code, rec.Body)
+		}
+	})
 }
