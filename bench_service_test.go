@@ -4,15 +4,12 @@
 // exactly — series by series — with the client's own counts. This is the
 // end-to-end proof that the RED middleware counts every request exactly
 // once under concurrency, and that the exposition output survives a strict
-// consumer. With -update-bench the run is re-recorded into
-// BENCH_SERVICE.json (the committed file comes from `concat loadgen`
-// against a real `concat serve` over TCP; see EXPERIMENTS.md).
+// consumer. The service's throughput and latency are measured by
+// concatbench's service-open workload.
 package concat
 
 import (
-	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -66,13 +63,4 @@ func TestServiceLoadgenCountersReconcile(t *testing.T) {
 		}
 	}
 
-	if *updateBenchJSON {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_SERVICE.json", append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

@@ -251,7 +251,8 @@ submitters and -subscribers M /events stream consumers for a fixed
 p50/p95/p99 latency, verifies the 503 + Retry-After backpressure contract
 under queue saturation, and cross-checks the service's /metrics request
 counters against its own counts series by series; -json FILE writes the
-measurement (BENCH_SERVICE.json by convention).
+measurement. The maintained service benchmark is concatbench's
+service-open workload.
 
 selftest and mutate accept -cover FILE, writing a canonical-JSON coverage
 artifact (TFM transaction/node/edge coverage, BIT assertion-site telemetry,
@@ -1009,7 +1010,7 @@ func cmdMutate(args []string, w io.Writer) error {
 	verbose := fs.Bool("v", false, "print per-mutant verdicts")
 	cacheDir := fs.String("cache-dir", "", "content-addressed verdict store directory (warm re-runs skip unchanged mutants)")
 	coverPath := fs.String("cover", "", "write the canonical coverage artifact JSON (kill matrix included) to this file")
-	parallel := fs.Int("parallel", 0, "mutant workers (0 or 1 = serial; results are identical either way)")
+	parallel := fs.Int("parallel", 0, "mutant workers (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	gf := addGenFlags(fs)
 	sf := addSandboxFlags(fs)
 	of := addObsFlags(fs)

@@ -13,13 +13,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"concat/internal/component"
 	"concat/internal/core/canon"
 	"concat/internal/driver"
+	"concat/internal/fanout"
 	"concat/internal/mutation"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
@@ -118,13 +118,14 @@ type Analysis struct {
 	Exec testexec.Options
 	// Progress, if non-nil, receives one line per mutant verdict.
 	Progress io.Writer
-	// Parallelism > 1 analyzes mutants concurrently. Because an engine
-	// holds the single active mutant, parallel workers need independent
-	// engine+factory pairs — factory-scoped engines, one per worker, built
-	// by cloning Engine's site table and binding a fresh factory to the
-	// clone via NewFactory (or by a custom Provision). Results are
-	// index-aligned with the input, so parallel and sequential runs produce
-	// identical tables, kill matrices and killing cases.
+	// Parallelism is the number of workers the mutants fan out over
+	// (internal/fanout); zero or one analyzes them serially on Engine and
+	// Factory. An engine holds one active mutant at a time, so each of
+	// several workers gets a private engine and factory, from Provision or
+	// from NewFactory over an Engine clone, set up once before any mutant
+	// runs. Verdicts land index-aligned with the input, and a failing run
+	// returns the lowest-indexed mutant's error, so parallel and serial runs
+	// produce identical tables, kill matrices, killing cases and errors.
 	Parallelism int
 	// NewFactory binds a component factory to the given engine. With it
 	// set, parallel workers are provisioned automatically: each gets
@@ -147,22 +148,6 @@ type Analysis struct {
 	// store.Backend works — file-backed, in-memory, or a remote peer's
 	// store over HTTP — since verdicts are machine-independent.
 	Store store.Backend
-}
-
-// provision resolves the worker-provisioning function: an explicit
-// Provision wins, otherwise NewFactory over an engine clone, otherwise nil
-// (parallel runs are then rejected).
-func (a *Analysis) provision() func() (*mutation.Engine, component.Factory, error) {
-	if a.Provision != nil {
-		return a.Provision
-	}
-	if a.NewFactory != nil {
-		return func() (*mutation.Engine, component.Factory, error) {
-			eng := a.Engine.Clone()
-			return eng, a.NewFactory(eng), nil
-		}
-	}
-	return nil
 }
 
 // Result aggregates an analysis run.
@@ -272,20 +257,14 @@ func (a *Analysis) Run(mutants []mutation.Mutant) (*Result, error) {
 	golden := testexec.NewGolden(ref)
 
 	out := &Result{Component: a.Suite.Component, Reference: ref}
-	var results []MutantResult
-	if a.Parallelism > 1 && len(mutants) > 1 {
-		results, err = a.runParallel(mutants, golden, campaign.ID(), cache)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for _, m := range mutants {
-			res, err := a.runMutant(a.Engine, a.Factory, m, golden, campaign.ID(), cache)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
+	results := make([]MutantResult, len(mutants))
+	err = fanout.Run(len(mutants), a.Parallelism, a.worker, func(w mutantWorker, i int) error {
+		res, err := a.runMutant(w.eng, w.factory, mutants[i], golden, campaign.ID(), cache)
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cache != nil {
 		out.CacheHits = int(cache.hits.Load())
@@ -313,65 +292,42 @@ func (a *Analysis) Run(mutants []mutation.Mutant) (*Result, error) {
 	return out, nil
 }
 
-// runParallel fans the mutants over Parallelism workers, each with its own
-// engine and factory from Provision. The results slice is index-aligned
-// with the input so every downstream table matches the sequential run.
-func (a *Analysis) runParallel(mutants []mutation.Mutant, golden *testexec.Golden, campaignSpan obs.SpanID, cache *cacheState) ([]MutantResult, error) {
-	provision := a.provision()
-	if provision == nil {
-		return nil, errors.New("mutation: parallel analysis requires NewFactory or Provision")
+// mutantWorker is the engine and factory one campaign worker activates its
+// mutants on.
+type mutantWorker struct {
+	eng     *mutation.Engine
+	factory component.Factory
+}
+
+// worker sets up worker w of a campaign run on the given number of workers.
+// A lone worker uses the campaign's own Engine and Factory; with more, an
+// engine holds only one active mutant at a time, so each worker gets a
+// private pair from Provision or NewFactory.
+func (a *Analysis) worker(w, workers int) (mutantWorker, error) {
+	if workers == 1 {
+		return mutantWorker{a.Engine, a.Factory}, nil
 	}
-	workers := a.Parallelism
-	if workers > len(mutants) {
-		workers = len(mutants)
+	if a.Provision == nil && a.NewFactory == nil {
+		return mutantWorker{}, errors.New("mutation: parallel analysis requires NewFactory or Provision")
 	}
-	results := make([]MutantResult, len(mutants))
-	errs := make([]error, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Provisioning can hit the same transient host contention as process
-		// spawning (a factory that opens files or forks helpers); retry under
-		// the sandbox policy so a momentary EAGAIN does not abort a campaign.
-		var eng *mutation.Engine
-		var factory component.Factory
-		err := sandbox.Retry(sandbox.DefaultRetryPolicy(), func() error {
-			var perr error
-			eng, factory, perr = provision()
-			return perr
-		})
-		if err != nil {
-			close(jobs)
-			wg.Wait()
-			return nil, fmt.Errorf("mutation: provisioning worker %d: %w", w, err)
+	// Provisioning can hit the same transient host contention as process
+	// spawning (a factory that opens files or forks helpers); retry under
+	// the sandbox policy so a momentary EAGAIN does not abort a campaign.
+	var mw mutantWorker
+	err := sandbox.Retry(sandbox.DefaultRetryPolicy(), func() error {
+		if a.Provision == nil {
+			mw.eng = a.Engine.Clone()
+			mw.factory = a.NewFactory(mw.eng)
+			return nil
 		}
-		wg.Add(1)
-		go func(w int, eng *mutation.Engine, factory component.Factory) {
-			defer wg.Done()
-			for idx := range jobs {
-				if errs[w] != nil {
-					continue // keep draining so the sender never blocks
-				}
-				res, err := a.runMutant(eng, factory, mutants[idx], golden, campaignSpan, cache)
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				results[idx] = res
-			}
-		}(w, eng, factory)
+		var err error
+		mw.eng, mw.factory, err = a.Provision()
+		return err
+	})
+	if err != nil {
+		return mutantWorker{}, fmt.Errorf("mutation: provisioning worker %d: %w", w, err)
 	}
-	for i := range mutants {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return mw, nil
 }
 
 // runMutant executes the suite against one activated mutant on the given

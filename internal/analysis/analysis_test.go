@@ -291,14 +291,21 @@ func TestParallelProvisionError(t *testing.T) {
 
 func TestParallelWorkerError(t *testing.T) {
 	// Workers whose engine lacks the sites fail to activate mutants; the
-	// error must surface and the run must not deadlock.
-	a, mutants := accountAnalysis(t)
-	a.Parallelism = 2
-	a.Provision = func() (*mutation.Engine, component.Factory, error) {
-		e := mutation.NewEngine() // empty site table: Activate will fail
-		return e, account.NewFactoryWithEngine(e), nil
-	}
-	if _, err := a.Run(mutants); err == nil {
-		t.Error("worker activation failure should surface")
+	// error must surface and the run must not deadlock. Every mutant fails,
+	// so the error is the first mutant's at any worker count, as in a
+	// serial run.
+	for _, workers := range []int{2, 8} {
+		a, mutants := accountAnalysis(t)
+		a.Parallelism = workers
+		a.Provision = func() (*mutation.Engine, component.Factory, error) {
+			e := mutation.NewEngine() // empty site table: Activate will fail
+			return e, account.NewFactoryWithEngine(e), nil
+		}
+		_, err := a.Run(mutants)
+		if err == nil {
+			t.Errorf("parallelism %d: worker activation failure should surface", workers)
+		} else if !strings.Contains(err.Error(), "mutant "+mutants[0].ID+" ") {
+			t.Errorf("parallelism %d: err = %v, want the error of the first mutant %s", workers, err, mutants[0].ID)
+		}
 	}
 }

@@ -3,10 +3,10 @@ package driver
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"concat/internal/domain"
+	"concat/internal/fanout"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/tspec"
@@ -20,11 +20,12 @@ type SoakOptions struct {
 	Cases int
 	// MaxLength bounds each walk; zero means 4x the node count.
 	MaxLength int
-	// Parallelism fans case generation over a bounded worker pool when
-	// greater than 1; zero or one generates serially. Every case draws from
-	// its own RNG stream seeded by f(Seed, case index), so the generated
-	// suite is identical at any parallelism — sharding changes wall clock,
-	// never content.
+	// Parallelism is the number of workers case generation fans out over
+	// (internal/fanout); zero or one generates serially. Every case draws
+	// from its own RNG stream seeded by f(Seed, case index), so the
+	// generated suite is identical at any parallelism, and a failing run
+	// returns the lowest-indexed failing case's error — sharding changes
+	// wall clock, never content.
 	Parallelism int
 	// StepBudget, when positive, bounds the generation work of each case:
 	// one step is charged per walk node. The budget is per-case (not shared
@@ -112,60 +113,19 @@ func GenerateSoak(spec *tspec.Spec, opts SoakOptions) (*Suite, error) {
 		return buildCase(spec, tr, combo, rng, i)
 	}
 
-	suite := &Suite{
+	cases := make([]TestCase, opts.Cases)
+	err = fanout.Run(opts.Cases, opts.Parallelism, nil, func(_ struct{}, i int) error {
+		var err error
+		cases[i], err = genCase(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Suite{
 		Component: spec.Class.Name,
 		Seed:      opts.Seed,
 		Criterion: "random-walk",
-	}
-	cases := make([]TestCase, opts.Cases)
-	workers := opts.Parallelism
-	if workers > opts.Cases {
-		workers = opts.Cases
-	}
-	if workers <= 1 {
-		for i := range cases {
-			tc, err := genCase(i)
-			if err != nil {
-				return nil, err
-			}
-			cases[i] = tc
-		}
-		suite.Cases = cases
-		return suite, nil
-	}
-
-	// Parallel path: workers pull indices and fill the index-aligned slice;
-	// per-case seeds make the result order- and scheduling-independent.
-	errs := make([]error, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				if errs[w] != nil {
-					continue // keep draining so the sender never blocks
-				}
-				tc, err := genCase(i)
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				cases[i] = tc
-			}
-		}(w)
-	}
-	for i := range cases {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	suite.Cases = cases
-	return suite, nil
+		Cases:     cases,
+	}, nil
 }

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"concat/internal/bit"
 	"concat/internal/component"
@@ -40,6 +39,7 @@ import (
 	"concat/internal/cover"
 	"concat/internal/domain"
 	"concat/internal/driver"
+	"concat/internal/fanout"
 	"concat/internal/store"
 	"concat/internal/testexec"
 	"concat/internal/tspec"
@@ -77,16 +77,18 @@ type Runner struct {
 	Gen driver.Options
 	// Exec configures execution of invalidated cases. The runner executes
 	// each case as its own single-case run (results are position-independent
-	// by the CaseSeed contract), so Parallelism here only affects the inner
-	// runs; use Runner.Parallelism to fan cases out. LogWriter and
-	// LeakLedger are ignored — per-case logs would interleave and a shared
-	// ledger's delta windows would race.
+	// by the CaseSeed contract), so Exec.Parallelism has nothing to fan out;
+	// Runner.Parallelism fans the cases out. LogWriter and LeakLedger are
+	// ignored — per-case logs would interleave and a shared ledger's delta
+	// windows would race.
 	Exec testexec.Options
 	// Store is the verdict store backing warm replay; disabled (nil) makes
 	// every case execute. An Oracle in Exec also disables replay, mirroring
 	// core.RunSuiteCached.
 	Store store.Backend
-	// Parallelism bounds concurrent case executions; <=0 uses GOMAXPROCS.
+	// Parallelism is the number of workers the invalidated cases fan out
+	// over (internal/fanout); <=0 uses GOMAXPROCS. A failing run takes no
+	// further case and returns the error of the lowest-indexed failing case.
 	Parallelism int
 	// MutantMethods is the method name of every mutant enumerable for the
 	// component (one entry per mutant, duplicates expected). Used only for
@@ -207,8 +209,9 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 
 	// Execute the invalidated partition. Each case runs as its own suite —
 	// by the CaseSeed contract its result is identical to the same case
-	// inside a full run — fanned over a bounded worker pool. Under pool
-	// isolation one warm worker pool is shared across all runs.
+	// inside a full run — fanned over Parallelism workers, and each fresh
+	// result is recorded in the store. Under pool isolation one warm worker
+	// pool is shared across all runs.
 	if exec.Isolation == testexec.IsolatePool && exec.WorkerPool == nil {
 		size := exec.PoolSize
 		if size <= 0 {
@@ -227,7 +230,32 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 			pending = append(pending, i)
 		}
 	}
-	if err := r.execute(newSuite, tasks, pending, exec, cacheable); err != nil {
+	err = fanout.Run(len(pending), r.parallelism(), nil, func(_ struct{}, j int) error {
+		t := &tasks[pending[j]]
+		one := &driver.Suite{
+			Component: newSuite.Component,
+			Seed:      newSuite.Seed,
+			Criterion: newSuite.Criterion,
+			Cases:     []driver.TestCase{t.tc},
+		}
+		rep, err := testexec.Run(one, r.Factory, exec)
+		if err != nil {
+			return err
+		}
+		if len(rep.Results) != 1 {
+			return fmt.Errorf("impact: case %s produced %d results", t.tc.ID, len(rep.Results))
+		}
+		t.entry = caseEntry{
+			Result:    rep.Results[0],
+			Sites:     rep.BITSites,
+			Abandoned: rep.AbandonedGoroutines,
+		}
+		if cacheable {
+			return r.Store.Put(t.key, t.entry)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -289,72 +317,6 @@ func (r *Runner) parallelism() int {
 		return r.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// execute runs the pending cases concurrently and fills their entries,
-// recording each fresh result in the store.
-func (r *Runner) execute(suite *driver.Suite, tasks []task, pending []int, exec testexec.Options, cacheable bool) error {
-	workers := r.parallelism()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if firstErr != nil || next >= len(pending) {
-					mu.Unlock()
-					return
-				}
-				idx := pending[next]
-				next++
-				mu.Unlock()
-
-				t := &tasks[idx]
-				one := &driver.Suite{
-					Component: suite.Component,
-					Seed:      suite.Seed,
-					Criterion: suite.Criterion,
-					Cases:     []driver.TestCase{t.tc},
-				}
-				rep, err := testexec.Run(one, r.Factory, exec)
-				if err == nil && len(rep.Results) != 1 {
-					err = fmt.Errorf("impact: case %s produced %d results", t.tc.ID, len(rep.Results))
-				}
-				if err == nil {
-					t.entry = caseEntry{
-						Result:    rep.Results[0],
-						Sites:     rep.BITSites,
-						Abandoned: rep.AbandonedGoroutines,
-					}
-					if cacheable {
-						err = r.Store.Put(t.key, t.entry)
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // task is one case of the new suite moving through classification,

@@ -100,7 +100,9 @@ type CrossCheck struct {
 	Mismatches []string `json:"mismatches,omitempty"`
 }
 
-// Result is one load run's measurement, serialized to BENCH_SERVICE.json.
+// Result is one load run's measurement, written as JSON by
+// `concat loadgen -json`. The service's maintained benchmark is
+// concatbench's service-open workload.
 type Result struct {
 	Config             Config                   `json:"config"`
 	CPUs               int                      `json:"cpus"`

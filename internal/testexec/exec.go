@@ -29,6 +29,7 @@ import (
 	"concat/internal/component"
 	"concat/internal/domain"
 	"concat/internal/driver"
+	"concat/internal/fanout"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/sandbox/pool"
@@ -241,8 +242,8 @@ type Options struct {
 	// case's goroutine is abandoned (Go cannot kill it); use this as a
 	// last-resort guard for components without their own iteration bounds.
 	CaseTimeout time.Duration
-	// Parallelism fans the suite's cases over a bounded worker pool when
-	// greater than 1; zero or one executes serially. Every case derives its
+	// Parallelism is the number of workers the suite's cases fan out over
+	// (internal/fanout); zero or one executes serially. Every case derives its
 	// RNG seed from the suite seed and its own ID (CaseSeed), each case
 	// constructs its own component instance, and the merged Report lists
 	// results in suite order — so for any Parallelism the Report is
@@ -438,72 +439,38 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 		return res
 	}
 
-	report := &Report{Component: s.Component}
-	workers := opts.Parallelism
-	if workers > len(s.Cases) {
-		workers = len(s.Cases)
-	}
-	finish := func() {
-		report.AbandonedGoroutines = int(ledger.Abandoned() - abandonedAtStart)
-		report.BITSites = suiteTel.Records()
-		suiteSpan.End()
-		opts.Metrics.Inc("suite.runs", 1)
-	}
+	// Results land index-aligned whichever worker ran which case, so the
+	// report and the log, written afterwards, are in suite order.
+	var results []CaseResult
 	if opts.Isolation == IsolateSubprocess || opts.Isolation == IsolatePool {
 		// Child processes: batched dispatch replaces the per-case runOne
 		// loop; all per-case bookkeeping (spans, oracle, telemetry, metrics)
 		// happens inside the dispatcher with the same rules.
-		results, err := runPooled(s, opts, suiteSpan, suiteTel)
-		if err != nil {
+		var err error
+		if results, err = runPooled(s, opts, suiteSpan, suiteTel); err != nil {
 			return nil, err
 		}
-		for _, res := range results {
-			writeLog(log, res)
-		}
-		report.Results = results
-		if workers > 1 {
-			suiteSpan.SetAttr("parallelism", strconv.Itoa(workers))
-		}
-		finish()
-		return report, nil
+	} else if len(s.Cases) > 0 { // an empty suite's Results stay nil
+		results = make([]CaseResult, len(s.Cases))
+		_ = fanout.Run(len(s.Cases), opts.Parallelism, nil, func(_ struct{}, i int) error {
+			results[i] = runOne(s.Cases[i])
+			return nil
+		})
 	}
-	if workers <= 1 {
-		for _, tc := range s.Cases {
-			res := runOne(tc)
-			writeLog(log, res)
-			report.Results = append(report.Results, res)
-		}
-		finish()
-		return report, nil
-	}
-
-	// Parallel path: workers pull case indices from a channel and store
-	// results into an index-aligned slice, so the merged report (and the
-	// log, written afterwards) are in suite order regardless of which
-	// worker finished which case when.
-	results := make([]CaseResult, len(s.Cases))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runOne(s.Cases[i])
-			}
-		}()
-	}
-	for i := range s.Cases {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	for _, res := range results {
 		writeLog(log, res)
 	}
-	report.Results = results
-	suiteSpan.SetAttr("parallelism", strconv.Itoa(workers))
-	finish()
+	if workers := min(opts.Parallelism, len(s.Cases)); workers > 1 {
+		suiteSpan.SetAttr("parallelism", strconv.Itoa(workers))
+	}
+	report := &Report{
+		Component:           s.Component,
+		Results:             results,
+		AbandonedGoroutines: int(ledger.Abandoned() - abandonedAtStart),
+		BITSites:            suiteTel.Records(),
+	}
+	suiteSpan.End()
+	opts.Metrics.Inc("suite.runs", 1)
 	return report, nil
 }
 

@@ -22,11 +22,11 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"concat/internal/bit"
 	"concat/internal/driver"
+	"concat/internal/fanout"
 	"concat/internal/obs"
 	"concat/internal/sandbox/pool"
 )
@@ -276,15 +276,6 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	type span struct{ start, end int }
-	var batches []span
-	for i := 0; i < len(s.Cases); i += batchSize {
-		j := i + batchSize
-		if j > len(s.Cases) {
-			j = len(s.Cases)
-		}
-		batches = append(batches, span{i, j})
-	}
 	d := &poolDispatcher{
 		s:         s,
 		opts:      opts,
@@ -294,32 +285,12 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 		deadline:  isolationDeadline(opts),
 		results:   make([]CaseResult, len(s.Cases)),
 	}
-	workers := opts.Parallelism
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	if workers <= 1 {
-		for _, b := range batches {
-			d.dispatchBatch(b.start, b.end)
-		}
-		return d.results, nil
-	}
-	jobs := make(chan span)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				d.dispatchBatch(b.start, b.end)
-			}
-		}()
-	}
-	for _, b := range batches {
-		jobs <- b
-	}
-	close(jobs)
-	wg.Wait()
+	// Batch b holds cases [b*batchSize, (b+1)*batchSize), the last one short.
+	n := len(s.Cases)
+	_ = fanout.Run((n+batchSize-1)/batchSize, opts.Parallelism, nil, func(_ struct{}, b int) error {
+		d.dispatchBatch(b*batchSize, min((b+1)*batchSize, n))
+		return nil
+	})
 	return d.results, nil
 }
 

@@ -3,12 +3,11 @@
 // spawn. This test measures per-case latency of spawn-per-case isolation
 // (cold) against warm-pool batched dispatch on the same suite, asserts the
 // pool is actually faster — the claim holds even on a single CPU, because
-// the saving is fork/exec cost, not parallelism — and with -update-bench
-// records the measurement in BENCH_POOL.json.
+// the saving is fork/exec cost, not parallelism. concatbench is the
+// maintained benchmark.
 package concat
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -67,26 +66,4 @@ func TestPoolWarmDispatchFasterThanColdSpawn(t *testing.T) {
 		t.Errorf("warm dispatch (%v/case) not faster than cold spawn (%v/case)", warm, cold)
 	}
 
-	if *updateBenchJSON {
-		record := map[string]any{
-			"benchmark":         "per-case isolation latency: spawn-per-case (cold) vs warm pool batched dispatch",
-			"command":           "go test -run TestPoolWarmDispatchFasterThanColdSpawn -update-bench .",
-			"component":         "Account",
-			"cases":             len(suite.Cases),
-			"reps":              reps,
-			"cpus":              runtime.NumCPU(),
-			"cold_spawn_us":     cold.Microseconds(),
-			"warm_dispatch_us":  warm.Microseconds(),
-			"speedup":           ratio,
-			"reports_identical": "asserted byte-for-byte by TestIsolationModesByteIdenticalReports",
-			"os_arch":           runtime.GOOS + "/" + runtime.GOARCH,
-		}
-		data, err := json.MarshalIndent(record, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_POOL.json", append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
