@@ -1,13 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"concat/internal/serve"
+	"concat/internal/store"
 )
 
 // startService runs the campaign service behind an httptest listener and
@@ -118,18 +123,96 @@ func TestCLIMutateCacheDir(t *testing.T) {
 
 func TestCLISelftestCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	cold := mustRunCLI(t, "selftest", "-component", "Product", "-cache-dir", dir)
-	warm := mustRunCLI(t, "selftest", "-component", "Product", "-cache-dir", dir)
+	var cold, warm string
+	coldLog := captureStderr(t, func() { cold = mustRunCLI(t, "selftest", "-component", "Product", "-cache-dir", dir) })
+	warmLog := captureStderr(t, func() { warm = mustRunCLI(t, "selftest", "-component", "Product", "-cache-dir", dir) })
 	if cold != warm {
 		t.Errorf("cached selftest output differs:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) == 0 {
 		t.Errorf("selftest cache dir empty (err %v)", err)
 	}
+	// The stderr line counts cases, as mutate's counts mutants: the cold
+	// run misses every case and records it, the warm run replays them all.
+	var n int
+	if _, err := fmt.Sscanf(coldLog, "cache: 0 hits, %d misses", &n); err != nil || n == 0 {
+		t.Errorf("cold selftest stderr = %q, want \"cache: 0 hits, N misses (...)\" with N > 0", coldLog)
+	}
+	if want := fmt.Sprintf("cache: %d hits, 0 misses (%s)\n", n, dir); warmLog != want {
+		t.Errorf("warm selftest stderr = %q, want %q", warmLog, want)
+	}
+}
+
+// TestCLISelftestPrimesImpact: selftest -cache-dir records the per-case
+// entries impact reads, so an impact diff of the same spec on that store
+// executes nothing.
+func TestCLISelftestPrimesImpact(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	mustRunCLI(t, "spec", "-component", "Account", "-out", spec)
+	captureStderr(t, func() { mustRunCLI(t, "selftest", "-component", "Account", "-cache-dir", dir) })
+	out := mustRunCLI(t, "impact", "-old", spec, "-new", spec, "-cache-dir", dir, "-json")
+	var r struct{ Kept, CacheHits, CacheMisses int }
+	if err := json.Unmarshal([]byte(out), &r); err != nil {
+		t.Fatalf("decoding the impact artifact: %v\n%s", err, out)
+	}
+	if r.CacheMisses != 0 || r.CacheHits != r.Kept || r.Kept == 0 {
+		t.Errorf("impact on a selftest-primed store: %d kept, %d hits, %d misses; want every case kept and warm",
+			r.Kept, r.CacheHits, r.CacheMisses)
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a pipe and returns
+// what f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	func() {
+		defer func() {
+			os.Stderr = saved
+			w.Close()
+		}()
+		f()
+	}()
+	return <-out
 }
 
 func TestCLIServeFlagValidation(t *testing.T) {
 	if _, err := runCLI(t, "serve", "-addr", "not an address"); err == nil {
 		t.Error("invalid listen address should fail")
+	}
+}
+
+// TestCLIServeParallel: serve names its worker knob -parallel like every
+// other command; the old -parallelism spelling is gone.
+func TestCLIServeParallel(t *testing.T) {
+	// The flags parse, so serve gets as far as the listener.
+	if _, err := runCLI(t, "serve", "-parallel", "2", "-addr", "not an address"); err == nil || !strings.Contains(err.Error(), "listening on") {
+		t.Errorf("serve -parallel 2: err = %v, want the listen error", err)
+	}
+	if _, err := runCLI(t, "serve", "-parallelism", "2"); err == nil || !strings.Contains(err.Error(), "-parallelism") {
+		t.Errorf("serve -parallelism 2: err = %v, want an undefined-flag error", err)
+	}
+}
+
+// TestCLIWorkParallel: work takes -parallel and rejects -parallelism.
+func TestCLIWorkParallel(t *testing.T) {
+	url := startService(t, serve.Config{Store: store.NewMem()})
+	out, err := runCLI(t, "work", "-coordinator", url, "-parallel", "2", "-poll", "1ms", "-idle-exit", "1ms", "-quiet")
+	if err != nil || !strings.Contains(out, "concat work: 0 shard(s) completed") {
+		t.Errorf("work -parallel 2 = %v\n%s", err, out)
+	}
+	if _, err := runCLI(t, "work", "-parallelism", "2"); err == nil || !strings.Contains(err.Error(), "-parallelism") {
+		t.Errorf("work -parallelism 2: err = %v, want an undefined-flag error", err)
 	}
 }

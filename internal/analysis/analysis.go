@@ -22,7 +22,6 @@ import (
 	"concat/internal/fanout"
 	"concat/internal/mutation"
 	"concat/internal/obs"
-	"concat/internal/sandbox"
 	"concat/internal/store"
 	"concat/internal/testexec"
 )
@@ -121,22 +120,16 @@ type Analysis struct {
 	// Parallelism is the number of workers the mutants fan out over
 	// (internal/fanout); zero or one analyzes them serially on Engine and
 	// Factory. An engine holds one active mutant at a time, so each of
-	// several workers gets a private engine and factory, from Provision or
-	// from NewFactory over an Engine clone, set up once before any mutant
-	// runs. Verdicts land index-aligned with the input, and a failing run
-	// returns the lowest-indexed mutant's error, so parallel and serial runs
-	// produce identical tables, kill matrices, killing cases and errors.
+	// several workers gets a private engine and factory, from NewFactory
+	// over an Engine clone, set up once before any mutant runs. Verdicts
+	// land index-aligned with the input, and a failing run returns the
+	// lowest-indexed mutant's error, so parallel and serial runs produce
+	// identical tables, kill matrices, killing cases and errors.
 	Parallelism int
-	// NewFactory binds a component factory to the given engine. With it
-	// set, parallel workers are provisioned automatically: each gets
-	// Engine.Clone() plus NewFactory(clone). This is the standard way to
-	// run a parallel campaign; Provision remains for components whose
-	// worker state cannot be expressed as an engine clone.
+	// NewFactory binds a component factory to the given engine; a parallel
+	// run requires it. Each worker gets Engine.Clone() plus
+	// NewFactory(clone).
 	NewFactory func(*mutation.Engine) component.Factory
-	// Provision builds one worker's private engine and factory, overriding
-	// the NewFactory-based default. The engine must carry the same site
-	// table as Engine.
-	Provision func() (*mutation.Engine, component.Factory, error)
 	// Store, when enabled, is the content-addressed verdict cache: before
 	// executing a mutant the analysis looks up (spec-hash, suite-hash,
 	// mutant-hash, seed, options-hash) and serves the recorded verdict on a
@@ -299,35 +292,19 @@ type mutantWorker struct {
 	factory component.Factory
 }
 
-// worker sets up worker w of a campaign run on the given number of workers.
-// A lone worker uses the campaign's own Engine and Factory; with more, an
-// engine holds only one active mutant at a time, so each worker gets a
-// private pair from Provision or NewFactory.
-func (a *Analysis) worker(w, workers int) (mutantWorker, error) {
+// worker sets up one worker of a campaign run on the given number of
+// workers. A lone worker uses the campaign's own Engine and Factory; with
+// more, an engine holds only one active mutant at a time, so each worker
+// gets a private engine clone and a factory bound to it.
+func (a *Analysis) worker(_, workers int) (mutantWorker, error) {
 	if workers == 1 {
 		return mutantWorker{a.Engine, a.Factory}, nil
 	}
-	if a.Provision == nil && a.NewFactory == nil {
-		return mutantWorker{}, errors.New("mutation: parallel analysis requires NewFactory or Provision")
+	if a.NewFactory == nil {
+		return mutantWorker{}, errors.New("mutation: parallel analysis requires NewFactory")
 	}
-	// Provisioning can hit the same transient host contention as process
-	// spawning (a factory that opens files or forks helpers); retry under
-	// the sandbox policy so a momentary EAGAIN does not abort a campaign.
-	var mw mutantWorker
-	err := sandbox.Retry(sandbox.DefaultRetryPolicy(), func() error {
-		if a.Provision == nil {
-			mw.eng = a.Engine.Clone()
-			mw.factory = a.NewFactory(mw.eng)
-			return nil
-		}
-		var err error
-		mw.eng, mw.factory, err = a.Provision()
-		return err
-	})
-	if err != nil {
-		return mutantWorker{}, fmt.Errorf("mutation: provisioning worker %d: %w", w, err)
-	}
-	return mw, nil
+	eng := a.Engine.Clone()
+	return mutantWorker{eng, a.NewFactory(eng)}, nil
 }
 
 // runMutant executes the suite against one activated mutant on the given

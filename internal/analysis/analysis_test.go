@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -236,10 +235,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			Factory:     account.NewFactoryWithEngine(eng),
 			Suite:       suite,
 			Parallelism: par,
-			Provision: func() (*mutation.Engine, component.Factory, error) {
-				e := mutation.NewEngine()
-				e.MustRegisterSites(account.Sites()...)
-				return e, account.NewFactoryWithEngine(e), nil
+			NewFactory: func(e *mutation.Engine) component.Factory {
+				return account.NewFactoryWithEngine(e)
 			},
 		}
 		return a, eng.Enumerate(nil, nil)
@@ -270,36 +267,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelRequiresProvision(t *testing.T) {
+func TestParallelRequiresNewFactory(t *testing.T) {
 	a, mutants := accountAnalysis(t)
 	a.Parallelism = 4
-	if _, err := a.Run(mutants); err == nil {
-		t.Error("parallel run without Provision should fail")
-	}
-}
-
-func TestParallelProvisionError(t *testing.T) {
-	a, mutants := accountAnalysis(t)
-	a.Parallelism = 4
-	a.Provision = func() (*mutation.Engine, component.Factory, error) {
-		return nil, nil, errors.New("no more engines")
-	}
-	if _, err := a.Run(mutants); err == nil || !strings.Contains(err.Error(), "provisioning") {
-		t.Errorf("err = %v, want provisioning failure", err)
+	if _, err := a.Run(mutants); err == nil || !strings.Contains(err.Error(), "NewFactory") {
+		t.Errorf("parallel run without NewFactory: err = %v, want a NewFactory error", err)
 	}
 }
 
 func TestParallelWorkerError(t *testing.T) {
-	// Workers whose engine lacks the sites fail to activate mutants; the
-	// error must surface and the run must not deadlock. Every mutant fails,
-	// so the error is the first mutant's at any worker count, as in a
-	// serial run.
+	// Mutants whose site no engine registered fail to activate on every
+	// worker; the error must surface and the run must not deadlock. Every
+	// mutant fails, so the error is the first mutant's at any worker count,
+	// as in a serial run.
 	for _, workers := range []int{2, 8} {
 		a, mutants := accountAnalysis(t)
 		a.Parallelism = workers
-		a.Provision = func() (*mutation.Engine, component.Factory, error) {
-			e := mutation.NewEngine() // empty site table: Activate will fail
-			return e, account.NewFactoryWithEngine(e), nil
+		a.NewFactory = func(e *mutation.Engine) component.Factory {
+			return account.NewFactoryWithEngine(e)
+		}
+		for i := range mutants {
+			mutants[i].Site = "no-such-site" // Activate will fail
 		}
 		_, err := a.Run(mutants)
 		if err == nil {

@@ -77,14 +77,14 @@ type Runner struct {
 	Gen driver.Options
 	// Exec configures execution of invalidated cases. The runner executes
 	// each case as its own single-case run (results are position-independent
-	// by the CaseSeed contract), so Exec.Parallelism has nothing to fan out;
-	// Runner.Parallelism fans the cases out. LogWriter and LeakLedger are
-	// ignored — per-case logs would interleave and a shared ledger's delta
-	// windows would race.
+	// by the CaseSeed contract), so Exec.Parallelism has nothing to fan out
+	// and Run rejects a non-zero value; Runner.Parallelism fans the cases
+	// out. LogWriter and LeakLedger are ignored — per-case logs would
+	// interleave and a shared ledger's delta windows would race.
 	Exec testexec.Options
 	// Store is the verdict store backing warm replay; disabled (nil) makes
-	// every case execute. An Oracle in Exec also disables replay, mirroring
-	// core.RunSuiteCached.
+	// every case execute. An Oracle in Exec also disables replay: an
+	// oracle's behaviour cannot be fingerprinted into the key.
 	Store store.Backend
 	// Parallelism is the number of workers the invalidated cases fan out
 	// over (internal/fanout); <=0 uses GOMAXPROCS. A failing run takes no
@@ -117,6 +117,9 @@ type Result struct {
 func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 	if r.Factory == nil {
 		return nil, errors.New("impact: nil factory")
+	}
+	if r.Exec.Parallelism != 0 {
+		return nil, errors.New("impact: Exec.Parallelism has no effect (every case runs as its own suite); set Runner.Parallelism")
 	}
 	if newSpec.Class.Name != r.Factory.Name() {
 		return nil, fmt.Errorf("impact: new spec is for %q but factory builds %q",

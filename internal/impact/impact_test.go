@@ -3,6 +3,7 @@ package impact_test
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"concat/internal/core"
@@ -273,6 +274,18 @@ func TestParallelRunIdentical(t *testing.T) {
 	eb, _ := b.Report.Encode()
 	if string(ea) != string(eb) {
 		t.Error("parallel impact artifact diverged from serial")
+	}
+}
+
+// Exec.Parallelism has nothing to fan out (every case runs as its own
+// suite), so Run rejects it and names the knob that does.
+func TestExecParallelismRejected(t *testing.T) {
+	r := runner(t, "Account", store.NewMem())
+	r.Exec.Parallelism = 4
+	spec := r.Factory.Spec()
+	_, err := r.Run(spec, spec)
+	if err == nil || !strings.Contains(err.Error(), "Runner.Parallelism") {
+		t.Fatalf("Run with Exec.Parallelism = 4: err = %v, want a rejection naming Runner.Parallelism", err)
 	}
 }
 

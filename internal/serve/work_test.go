@@ -253,10 +253,25 @@ func TestShardProgressInStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Store: fs, Lease: 30 * time.Second})
+	s, ts := newTestServer(t, Config{Store: fs, Lease: 30 * time.Second})
+	// On failure the job is left waiting on its shards: stop it at once
+	// rather than have the server's Close wait for it to finish.
+	t.Cleanup(func() {
+		if t.Failed() {
+			s.Drain(0)
+		}
+	})
 	st, code := submit(t, ts, Request{Component: "Account", Distributed: true, Shards: 2})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
+	}
+	// The 202 precedes the job's start: its shards open on a worker
+	// goroutine, so lease only once the status shows them.
+	for deadline := time.Now().Add(10 * time.Second); getStatus(t, ts, st.ID).Shards != 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the job did not open its 2 shards within 10s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	lease, ok := postLease(t, ts)
 	if !ok {

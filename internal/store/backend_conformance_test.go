@@ -126,8 +126,8 @@ func TestBackendConformance(t *testing.T) {
 				}
 			})
 			t.Run("ArbitraryPayload", func(t *testing.T) {
-				// The store also caches whole suite reports: any
-				// JSON-encodable payload must round-trip, not just Verdict.
+				// The store also caches case results: any JSON-encodable
+				// payload must round-trip, not just Verdict.
 				b := be.make(t)
 				type payload struct {
 					Name  string   `json:"name"`
@@ -136,7 +136,7 @@ func TestBackendConformance(t *testing.T) {
 				}
 				want := payload{Name: "suite", Cases: []string{"a", "b"}, N: 7}
 				k := testKey("")
-				k.Kind = KindSuiteReport
+				k.Kind = KindCaseResult
 				if err := b.Put(k, want); err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +190,7 @@ type goldenEntry struct {
 // and U+2028 escapes.
 func goldenEntries() []goldenEntry {
 	caseKey := Key{Kind: KindCaseResult, Spec: "spec-hash", Suite: "case-hash", Seed: 42, Options: "opt-hash"}
-	htmlKey := Key{Kind: KindSuiteReport, Spec: "<spec>", Suite: "a&b", Seed: -1, Options: "o"}
+	htmlKey := Key{Kind: KindCaseResult, Spec: "<spec>", Suite: "a&b", Seed: -1, Options: "o"}
 	caseEntry := map[string]any{
 		"result": map[string]any{
 			"CaseID": "ObList-T3-c17", "Transaction": "ObList.AddHead;ObList.RemoveAt;~ObList",
@@ -215,8 +215,8 @@ func goldenEntries() []goldenEntry {
 			`{"key":{"kind":"case-result","options":"opt-hash","seed":42,"spec":"spec-hash","suite":"case-hash"},"sum":"2de700ce5c931c9a3977319f552670250cb39eb8064babc866a56c5e4bd3c196","value":{"abandoned":1,"result":{"CaseID":"ObList-T3-c17","Detail":"pre-condition violated: index \u003c GetCount()","Extra":null,"Method":"RemoveAt","Outcome":2,"Seed":-8070450532247928832,"Transaction":"ObList.AddHead;ObList.RemoveAt;~ObList","Transcript":"AddHead(\"x\") -\u003e ok\nRemoveAt(7) -\u003e error: \"index out of range\"\n\tstate: {count:1}\n","ViolationKind":1},"sites":[{"evaluated":2,"expr":"index \u003e= 0 \u0026\u0026 index \u003c GetCount()","kind":"pre-condition","method":"RemoveAt","violated":1},{"evaluated":5,"expr":"count \u003e= 0","kind":"invariant","method":"AddHead","violated":0}]}}` + "\n"},
 		{"html-string", htmlKey,
 			"<a href=\"x\">&amp;</a> \u2028 tab\there é",
-			"d519736f615fefbb7e76012fe635866c9069af33281abed94a6067ca5a2cb20c",
-			`{"key":{"kind":"suite-report","options":"o","seed":-1,"spec":"\u003cspec\u003e","suite":"a\u0026b"},"sum":"3fa88120a1fb0321ef8e251868dcaf1927c238086a3e228f0a8fb211ef3f6898","value":"\u003ca href=\"x\"\u003e\u0026amp;\u003c/a\u003e \u2028 tab\there é"}` + "\n"},
+			"7cdb2fc45ea615947f0cf62d1b139889796f8ac0d0f26c70747a94f04a989b14",
+			`{"key":{"kind":"case-result","options":"o","seed":-1,"spec":"\u003cspec\u003e","suite":"a\u0026b"},"sum":"3fa88120a1fb0321ef8e251868dcaf1927c238086a3e228f0a8fb211ef3f6898","value":"\u003ca href=\"x\"\u003e\u0026amp;\u003c/a\u003e \u2028 tab\there é"}` + "\n"},
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 	"sync/atomic"
 )
 
-// maxEntryBytes bounds a single entry document on the wire; suite-report
+// maxEntryBytes bounds a single entry document on the wire; case-result
 // entries embed whole transcripts but stay far below this.
 const maxEntryBytes = 64 << 20
 

@@ -29,17 +29,17 @@ import (
 )
 
 // Key is the five-part content address of one cached verdict. Kind
-// namespaces entry types (mutant verdicts vs whole suite reports) so their
+// namespaces entry types (mutant verdicts vs case results) so their
 // addresses can never collide.
 type Key struct {
-	// Kind is the entry namespace: KindMutantVerdict or KindSuiteReport.
+	// Kind is the entry namespace: KindMutantVerdict or KindCaseResult.
 	Kind string `json:"kind"`
 	// Spec is the canonical hash of the component's t-spec.
 	Spec string `json:"spec"`
 	// Suite is the canonical hash of the executed suite.
 	Suite string `json:"suite"`
 	// Mutant is the canonical hash of the active mutant; empty for
-	// non-mutation entries (suite reports).
+	// non-mutation entries (case results).
 	Mutant string `json:"mutant,omitempty"`
 	// Seed is the execution seed driving hole completion.
 	Seed int64 `json:"seed"`
@@ -51,7 +51,6 @@ type Key struct {
 // Entry kinds.
 const (
 	KindMutantVerdict = "mutant-verdict"
-	KindSuiteReport   = "suite-report"
 	// KindCaseResult is one test case's execution result, keyed by the
 	// case's own canonical hash rather than a whole-suite hash — the unit of
 	// reuse for the impact engine's partitioned re-runs (internal/impact).

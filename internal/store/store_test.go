@@ -69,7 +69,7 @@ func TestKeyComponentsIndependent(t *testing.T) {
 	keys := []Key{
 		testKey("m1"),
 		testKey("m2"),
-		{Kind: KindSuiteReport, Spec: "spec-hash", Suite: "suite-hash", Seed: 42, Options: "opt-hash"},
+		{Kind: KindCaseResult, Spec: "spec-hash", Suite: "suite-hash", Seed: 42, Options: "opt-hash"},
 		func() Key { k := testKey("m1"); k.Seed = 43; return k }(),
 		func() Key { k := testKey("m1"); k.Options = "other"; return k }(),
 		func() Key { k := testKey("m1"); k.Spec = "other"; return k }(),

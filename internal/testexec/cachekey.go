@@ -4,7 +4,7 @@ import "concat/internal/core/canon"
 
 // resultOptions is the subset of Options that can change a report's
 // CONTENTS. Everything else — parallelism, isolation mode, tracing,
-// metrics, log sinks, spawn retries, backstops, and the warm-pool knobs
+// metrics, log sinks, backstops, and the warm-pool knobs
 // (PoolSize, BatchSize, WorkerPool) — is determinism-neutral by the
 // executor's contract (reports are byte-identical across those knobs),
 // so it stays out of the fingerprint and a verdict cached under one

@@ -285,11 +285,6 @@ type Options struct {
 	// IsolationContext is forwarded opaquely to the case server's Resolver
 	// — mutation analysis ships the active mutant through it.
 	IsolationContext json.RawMessage
-	// SpawnRetry overrides the retry policy for transient case-server
-	// spawn failures (fork contention); the zero value uses
-	// sandbox.DefaultRetryPolicy. Retries never change a case's
-	// classification — only deterministic errors reach the report.
-	SpawnRetry sandbox.RetryPolicy
 	// IsolationBackstop overrides the parent-side deadline applied to an
 	// isolated case server. Zero derives it from CaseTimeout when that is
 	// set, and falls back to DefaultIsolationBackstop when it is not — a

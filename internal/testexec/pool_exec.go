@@ -223,10 +223,9 @@ func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 		size = 1
 	}
 	return pool.New(pool.Config{
-		Argv:  argv,
-		Env:   append([]string{ServerEnv + "=" + BatchServerValue}, opts.IsolationEnv...),
-		Size:  size,
-		Retry: opts.SpawnRetry,
+		Argv: argv,
+		Env:  append([]string{ServerEnv + "=" + BatchServerValue}, opts.IsolationEnv...),
+		Size: size,
 	})
 }
 
@@ -258,6 +257,9 @@ func (d *poolDispatcher) release(w *pool.Worker) {
 // either recycle policy — same outcomes, same details, same seeds, same
 // telemetry merge rule.
 func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTel *bit.Telemetry) ([]CaseResult, error) {
+	if len(s.Cases) == 0 {
+		return nil, nil // nil Results, as in process: one encoding per report
+	}
 	if opts.Isolation == IsolateSubprocess {
 		// One case per batch on a private pool sized by Parallelism; the
 		// pool knobs belong to IsolatePool and do not apply.

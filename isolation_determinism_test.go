@@ -94,9 +94,10 @@ func runMode(t *testing.T, target core.Target, suite *driver.Suite, mode testexe
 }
 
 // TestIsolationModesByteIdenticalReports runs every built-in component's
-// generated suite under all three isolation modes at parallelism 1 and 4
-// and demands byte-identical reports. The in-process serial run is the
-// reference; each of the other five executions must reproduce its bytes.
+// generated suite, and an empty suite, under all three isolation modes at
+// parallelism 1 and 4 and demands byte-identical reports. The in-process
+// serial run is the reference; each of the other five executions must
+// reproduce its bytes.
 func TestIsolationModesByteIdenticalReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every built-in suite six times, mostly in child processes")
@@ -115,20 +116,32 @@ func TestIsolationModesByteIdenticalReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generating suite: %v", err)
 			}
-			want := runMode(t, target, suite, testexec.IsolateInProcess, 1)
-			for _, m := range isolationModes {
-				for _, parallelism := range []int{1, 4} {
-					if m.mode == testexec.IsolateInProcess && parallelism == 1 {
-						continue // the reference itself
-					}
-					got := runMode(t, target, suite, m.mode, parallelism)
-					if string(got) != string(want) {
-						t.Errorf("%s report at parallelism %d deviates from the in-process serial report:\ngot:  %s\nwant: %s",
-							m.name, parallelism, got, want)
-					}
-				}
-			}
+			checkIsolationModes(t, target, suite)
 		})
+	}
+	// An empty suite has no results to compare, only their encoding.
+	t.Run("empty", func(t *testing.T) {
+		t.Parallel()
+		checkIsolationModes(t, targets["Account"], &driver.Suite{Component: "Account", Seed: 42})
+	})
+}
+
+// checkIsolationModes compares the suite's report under every isolation
+// mode and parallelism against the in-process serial report.
+func checkIsolationModes(t *testing.T, target core.Target, suite *driver.Suite) {
+	t.Helper()
+	want := runMode(t, target, suite, testexec.IsolateInProcess, 1)
+	for _, m := range isolationModes {
+		for _, parallelism := range []int{1, 4} {
+			if m.mode == testexec.IsolateInProcess && parallelism == 1 {
+				continue // the reference itself
+			}
+			got := runMode(t, target, suite, m.mode, parallelism)
+			if string(got) != string(want) {
+				t.Errorf("%s report at parallelism %d deviates from the in-process serial report:\ngot:  %s\nwant: %s",
+					m.name, parallelism, got, want)
+			}
+		}
 	}
 }
 
