@@ -19,7 +19,7 @@
 //	concat emit      -component NAME [-seed N] -import PATH -factory EXPR [-out FILE]
 //	concat trace-validate [trace.ndjson | -]
 //	concat cover     -artifact FILE [-dot]
-//	concat impact    -old FILE -new FILE [-component NAME] [-cache-dir DIR] [-parallel N] [-json] [-artifact FILE] [-cover FILE] [-report FILE]
+//	concat impact    -old FILE -new FILE [-component NAME] [-cache-dir DIR] [-parallel N] [-json] [-artifact FILE] [-cover FILE] [-report FILE] [sandbox flags]
 //	concat serve     [-addr HOST:PORT] [-cache-dir DIR] [-journal DIR] [-workers N] [-queue N] [-parallel N] [-max-retries N] [-drain-timeout D] [-shard-lease D] [-pprof] [-trace-buf N]
 //	concat submit    [-addr URL] -component NAME [-seed N] [-isolate | -pool [-pool-size N]] [-distributed [-shards N]] [-wait]
 //	concat status    [-addr URL] [-id ID]
@@ -152,17 +152,17 @@ func cmdHelp(_ *flag.FlagSet, _ []string, w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w, `
-run, selftest, soak and mutate accept the sandbox flags: -isolate spawns
-one crash-contained child per case; -pool dispatches batches of cases
-(-batch N) to a pool of warm workers (-pool-size N) for the same
+run, selftest, soak, mutate and impact accept the sandbox flags: -isolate
+spawns one crash-contained child per case; -pool dispatches batches of
+cases (-batch N) to a pool of warm workers (-pool-size N) for the same
 containment at a fraction of the spawn cost. Both modes produce reports
 byte-identical to in-process execution.
 
-run, selftest, soak and mutate accept -trace FILE (stream NDJSON spans)
-and -metrics FILE (write an aggregated JSON snapshot at exit); both are
-side channels that never change reports or tables.
+run, selftest, soak, mutate and impact accept -trace FILE (stream NDJSON
+spans) and -metrics FILE (write an aggregated JSON snapshot at exit); both
+are side channels that never change reports or tables.
 
-selftest, mutate and serve accept -cache-dir DIR, a content-addressed
+selftest, mutate, impact and serve accept -cache-dir DIR, a content-addressed
 verdict store: unchanged campaigns are served from the store with
 byte-identical output, and only mutants whose inputs changed re-execute.
 

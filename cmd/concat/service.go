@@ -122,17 +122,29 @@ func cmdServe(fs *flag.FlagSet, args []string, w io.Writer) error {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	// The signal watcher ends with the command: after a drain it lets
+	// Serve's caller return only once Shutdown has finished, and on a
+	// Serve error it stops waiting for a signal that will never matter.
+	served, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
-		sig := <-sigs
-		signal.Stop(sigs)
-		fmt.Fprintf(os.Stderr, "concat serve: %s received, draining (timeout %s)\n", sig, *drainTimeout)
-		srv.Drain(*drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
+		defer close(stopped)
+		select {
+		case sig := <-sigs:
+			signal.Stop(sigs)
+			fmt.Fprintf(os.Stderr, "concat serve: %s received, draining (timeout %s)\n", sig, *drainTimeout)
+			srv.Drain(*drainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = httpSrv.Shutdown(ctx)
+		case <-served:
+		}
 	}()
 	fmt.Fprintf(w, "concat campaign service listening on http://%s\n", ln.Addr())
-	if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+	err = httpSrv.Serve(ln)
+	close(served)
+	<-stopped
+	if !errors.Is(err, http.ErrServerClosed) {
 		srv.Close()
 		return err
 	}
@@ -378,9 +390,12 @@ func cmdWork(fs *flag.FlagSet, args []string, w io.Writer) error {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "concat work: %s received, stopping\n", sig)
-		cancel()
+		select {
+		case sig := <-sigs:
+			fmt.Fprintf(os.Stderr, "concat work: %s received, stopping\n", sig)
+			cancel()
+		case <-ctx.Done(): // the worker returned on its own
+		}
 	}()
 	fmt.Fprintf(w, "concat worker polling %s\n", base)
 	n := serve.NewWorker(cfg).Run(ctx)

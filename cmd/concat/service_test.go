@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"concat/internal/serve"
 	"concat/internal/store"
@@ -214,5 +216,18 @@ func TestCLIWorkParallel(t *testing.T) {
 	}
 	if _, err := runCLI(t, "work", "-parallelism", "2"); err == nil || !strings.Contains(err.Error(), "-parallelism") {
 		t.Errorf("work -parallelism 2: err = %v, want an undefined-flag error", err)
+	}
+	// The signal watcher ends with the command: an in-process caller keeps
+	// no goroutine of cmdWork once the worker has returned.
+	var stacks string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		stacks = string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, ".cmdWork") || time.Now().After(deadline) {
+			break
+		}
+	}
+	if strings.Contains(stacks, ".cmdWork") {
+		t.Errorf("a cmdWork goroutine outlived the command:\n%s", stacks)
 	}
 }

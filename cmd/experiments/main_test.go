@@ -2,10 +2,14 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 func TestRunFigureArtifacts(t *testing.T) {
 	var sb strings.Builder
@@ -60,18 +64,38 @@ func TestRunTables(t *testing.T) {
 	}
 }
 
-// TestPublishedNumbersStable pins the exact totals EXPERIMENTS.md publishes
-// (seed 42). A failure here means the published tables must be regenerated
-// deliberately, not that the code is wrong.
+// TestPublishedNumbersStable pins every campaign EXPERIMENTS.md publishes
+// (seed 42): the whole output of `-counts -table2 -table3 -baseline
+// -ablations` — per-method rows, totals and ablation scores — byte for byte
+// against testdata/campaigns.golden, plus the headline totals by substring.
+// A failure here means the published tables must be regenerated
+// deliberately, not that the code is wrong. Refresh with
+// `go test ./cmd/experiments -run TestPublishedNumbersStable -update`.
 func TestPublishedNumbersStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation experiments are slow")
 	}
 	var sb strings.Builder
-	if err := run(&sb, selection{counts: true, table2: true, table3: true, baseline: true, seed: 42}); !errors.Is(err, errSurvivors) {
+	if err := run(&sb, selection{counts: true, table2: true, table3: true, baseline: true, ablations: true, seed: 42}); !errors.Is(err, errSurvivors) {
 		t.Fatalf("run: %v, want errSurvivors", err)
 	}
 	out := sb.String()
+	goldenPath := filepath.Join("testdata", "campaigns.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("campaign output deviates from testdata/campaigns.golden (run with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
 	for _, want := range []string{
 		"subclass new cases:     200",
 		"subclass reused cases:  56",

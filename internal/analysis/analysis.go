@@ -209,24 +209,20 @@ func (a *Analysis) Run(mutants []mutation.Mutant) (*Result, error) {
 		return nil, err
 	}
 	a.Engine.Deactivate()
-	if a.Exec.Isolation == testexec.IsolatePool && a.Exec.WorkerPool == nil {
-		// One warm worker pool for the whole campaign: the reference run and
-		// every mutant dispatch batches to the same long-lived workers, so a
-		// provisioned worker executes many mutants between restarts
-		// (mutant-schemata-style amortization). Each batch carries its own
-		// isolation context, which is what re-arms the right mutant child-side.
-		size := a.Exec.PoolSize
-		if size <= 0 {
-			size = a.Parallelism
-		}
-		p, err := testexec.NewWorkerPool(a.Exec, size)
-		if err != nil {
-			return nil, fmt.Errorf("mutation: building worker pool: %w", err)
-		}
-		defer p.Close()
-		a.Exec.WorkerPool = p
-		defer func() { a.Exec.WorkerPool = nil }()
+	// Under pool isolation the reference run and every mutant dispatch
+	// batches to one warm pool, so a provisioned worker executes many
+	// mutants between restarts (mutant-schemata-style amortization). Each
+	// batch carries its own isolation context, which is what re-arms the
+	// right mutant child-side. The run works on a copy of the analysis
+	// carrying the campaign's options.
+	exec, closePool, err := testexec.CampaignPool(a.Exec, a.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("mutation: building worker pool: %w", err)
 	}
+	defer closePool()
+	run := *a
+	run.Exec = exec
+	a = &run
 	// The campaign span roots the whole analysis: the reference run and
 	// every mutant hang under it. Trace/Metrics ride on a.Exec so the same
 	// Options plumbing reaches suites, cases and isolated children.
@@ -307,11 +303,16 @@ func (a *Analysis) worker(_, workers int) (mutantWorker, error) {
 	return mutantWorker{eng, a.NewFactory(eng)}, nil
 }
 
-// runMutant executes the suite against one activated mutant on the given
-// engine/factory pair. With a verdict store configured it first looks the
-// mutant up by content address and, on a hit, replays the recorded verdict
-// without executing the suite.
+// runMutant decides one mutant on the given engine/factory pair. With a
+// verdict store configured it first looks the mutant up by content address
+// and, on a hit, replays the recorded verdict without executing the suite;
+// a miss executes and records the verdict. Either way the verdict reaches
+// the mutant span and the metrics through recordVerdict.
 func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m mutation.Mutant, golden *testexec.Golden, campaignSpan obs.SpanID, cache *cacheState) (MutantResult, error) {
+	span := a.Exec.Trace.Start(campaignSpan, obs.KindMutant, m.ID)
+	span.SetAttr("operator", m.Operator.String())
+	defer span.End()
+	met := a.Exec.Metrics
 	var key store.Key
 	if cache != nil {
 		mhash, err := m.Hash()
@@ -325,6 +326,8 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 		// and the Put below repairs the entry.
 		if hit, _ := a.Store.Get(key, &v); hit {
 			cache.hits.Add(1)
+			met.Inc("mutant.cache-hit", 1)
+			span.SetAttr("cached", "true")
 			res := MutantResult{
 				Mutant:      m,
 				Killed:      v.Killed,
@@ -333,53 +336,77 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 				Reached:     v.Reached,
 				Infected:    v.Infected,
 			}
-			span := a.Exec.Trace.Start(campaignSpan, obs.KindMutant, m.ID)
-			span.SetAttr("operator", m.Operator.String())
-			span.SetAttr("cached", "true")
-			span.SetAttr("killed", strconv.FormatBool(res.Killed))
-			if res.Killed {
-				span.SetAttr("reason", res.Reason.String())
-				span.SetAttr("killingCase", res.KillingCase)
-			} else if res.Equivalent() {
-				span.SetAttr("equivalent", "true")
-			}
-			span.End()
-			if met := a.Exec.Metrics; met != nil {
-				met.Inc("mutant.cache-hit", 1)
-				switch {
-				case res.Killed:
-					met.Inc("mutant.killed", 1)
-					met.Inc("mutant.kill."+res.Reason.String(), 1)
-				case res.Equivalent():
-					met.Inc("mutant.equivalent", 1)
-				default:
-					met.Inc("mutant.alive", 1)
-				}
-			}
+			a.recordVerdict(span, res)
 			return res, nil
 		}
 		cache.misses.Add(1)
-		if met := a.Exec.Metrics; met != nil {
-			met.Inc("mutant.cache-miss", 1)
-		}
+		met.Inc("mutant.cache-miss", 1)
 	}
 
-	if err := eng.Activate(m); err != nil {
-		return MutantResult{}, fmt.Errorf("mutation: %w", err)
-	}
-	defer eng.Deactivate()
-
-	mspan := a.Exec.Trace.Start(campaignSpan, obs.KindMutant, m.ID)
-	mspan.SetAttr("operator", m.Operator.String())
-	defer mspan.End()
 	var began time.Time
-	if a.Exec.Metrics != nil {
+	if met != nil {
 		began = time.Now()
 	}
+	res, killing, err := a.execute(eng, factory, m, golden, span.ID())
+	if err != nil {
+		return MutantResult{}, err
+	}
+	a.recordVerdict(span, res)
+	if res.Killed {
+		span.SetAttr("killingOutcome", killing.String())
+		if met != nil {
+			// Per-operator kill latency: wall time from activation to
+			// verdict, labelled by mutant so the slowest kills are visible.
+			met.Observe("mutant.kill-latency."+m.Operator.String(), m.ID, time.Since(began))
+		}
+	}
+	if cache != nil {
+		v := store.Verdict{
+			Killed:      res.Killed,
+			Reason:      int(res.Reason),
+			KillingCase: res.KillingCase,
+			Reached:     res.Reached,
+			Infected:    res.Infected,
+		}
+		// A verdict we computed but cannot record poisons the next warm run's
+		// accounting, so a Put failure is a campaign error, not a warning.
+		if err := a.Store.Put(key, v); err != nil {
+			return MutantResult{}, fmt.Errorf("mutation: recording verdict for %s: %w", m.ID, err)
+		}
+	}
+	return res, nil
+}
 
+// recordVerdict writes a verdict, replayed or executed alike, into the
+// mutant span's attributes and the mutant.* counters.
+func (a *Analysis) recordVerdict(span *obs.ActiveSpan, res MutantResult) {
+	span.SetAttr("killed", strconv.FormatBool(res.Killed))
+	met := a.Exec.Metrics
+	switch {
+	case res.Killed:
+		span.SetAttr("reason", res.Reason.String())
+		span.SetAttr("killingCase", res.KillingCase)
+		met.Inc("mutant.killed", 1)
+		met.Inc("mutant.kill."+res.Reason.String(), 1)
+	case res.Equivalent():
+		span.SetAttr("equivalent", "true")
+		met.Inc("mutant.equivalent", 1)
+	default:
+		met.Inc("mutant.alive", 1)
+	}
+}
+
+// execute runs the suite against mutant m armed on eng and judges it by
+// the paper's three criteria against the golden reference. It returns the
+// verdict and, for a killed mutant, the killing case's outcome.
+func (a *Analysis) execute(eng *mutation.Engine, factory component.Factory, m mutation.Mutant, golden *testexec.Golden, parent obs.SpanID) (MutantResult, testexec.Outcome, error) {
+	if err := eng.Activate(m); err != nil {
+		return MutantResult{}, 0, fmt.Errorf("mutation: %w", err)
+	}
+	defer eng.Deactivate()
 	opts := a.Exec
 	opts.Oracle = nil // compare via golden.Differs below, on full results
-	opts.TraceParent = mspan.ID()
+	opts.TraceParent = parent
 	isolated := opts.Isolation == testexec.IsolateSubprocess || opts.Isolation == testexec.IsolatePool
 	if isolated {
 		// The mutant executes inside the case server, not in this process:
@@ -387,13 +414,13 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 		// resolver can re-arm it on its own engine.
 		raw, err := json.Marshal(IsolationContext{Mutant: &m})
 		if err != nil {
-			return MutantResult{}, fmt.Errorf("mutation: encoding mutant %s for isolation: %w", m.ID, err)
+			return MutantResult{}, 0, fmt.Errorf("mutation: encoding mutant %s for isolation: %w", m.ID, err)
 		}
 		opts.IsolationContext = raw
 	}
 	rep, err := testexec.Run(a.Suite, factory, opts)
 	if err != nil {
-		return MutantResult{}, fmt.Errorf("mutation: mutant %s: %w", m.ID, err)
+		return MutantResult{}, 0, fmt.Errorf("mutation: mutant %s: %w", m.ID, err)
 	}
 	res := MutantResult{Mutant: m, Reached: eng.Reached(), Infected: eng.Infected()}
 	if isolated {
@@ -414,64 +441,27 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 		refOutcome := golden.Outcomes[caseRes.CaseID]
 		switch {
 		case caseRes.Outcome == testexec.OutcomePanic && refOutcome != testexec.OutcomePanic.String():
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
+			res.Reason = KillCrash
 		case caseRes.Outcome == testexec.OutcomeTimeout && refOutcome != testexec.OutcomeTimeout.String():
 			// A hanging mutant is killed by timeout — the paper's testbed
 			// equivalent of criterion (i), "the program crashed".
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
+			res.Reason = KillCrash
 		case caseRes.Outcome == testexec.OutcomeResourceExhausted && refOutcome != testexec.OutcomeResourceExhausted.String():
 			// A mutant that burns the step budget or floods the transcript
 			// is a runaway caught at a deterministic point — criterion (i)
 			// again, like the timeout, but reproducible bit-for-bit.
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
+			res.Reason = KillCrash
 		case caseRes.Outcome == testexec.OutcomeViolation && refOutcome != testexec.OutcomeViolation.String():
-			res.Killed, res.Reason, res.KillingCase = true, KillAssertion, caseRes.CaseID
+			res.Reason = KillAssertion
 		case golden.Differs(caseRes):
-			res.Killed, res.Reason, res.KillingCase = true, KillOutputDiff, caseRes.CaseID
-		}
-		if res.Killed {
-			break
-		}
-	}
-	mspan.SetAttr("killed", strconv.FormatBool(res.Killed))
-	if res.Killed {
-		mspan.SetAttr("reason", res.Reason.String())
-		mspan.SetAttr("killingCase", res.KillingCase)
-		if kc, ok := rep.Result(res.KillingCase); ok {
-			mspan.SetAttr("killingOutcome", kc.Outcome.String())
-		}
-	} else if res.Equivalent() {
-		mspan.SetAttr("equivalent", "true")
-	}
-	if met := a.Exec.Metrics; met != nil {
-		switch {
-		case res.Killed:
-			met.Inc("mutant.killed", 1)
-			met.Inc("mutant.kill."+res.Reason.String(), 1)
-			// Per-operator kill latency: wall time from activation to
-			// verdict, labelled by mutant so the slowest kills are visible.
-			met.Observe("mutant.kill-latency."+m.Operator.String(), m.ID, time.Since(began))
-		case res.Equivalent():
-			met.Inc("mutant.equivalent", 1)
+			res.Reason = KillOutputDiff
 		default:
-			met.Inc("mutant.alive", 1)
+			continue
 		}
+		res.Killed, res.KillingCase = true, caseRes.CaseID
+		return res, caseRes.Outcome, nil
 	}
-	if cache != nil {
-		v := store.Verdict{
-			Killed:      res.Killed,
-			Reason:      int(res.Reason),
-			KillingCase: res.KillingCase,
-			Reached:     res.Reached,
-			Infected:    res.Infected,
-		}
-		// A verdict we computed but cannot record poisons the next warm run's
-		// accounting, so a Put failure is a campaign error, not a warning.
-		if err := a.Store.Put(key, v); err != nil {
-			return MutantResult{}, fmt.Errorf("mutation: recording verdict for %s: %w", m.ID, err)
-		}
-	}
-	return res, nil
+	return res, 0, nil
 }
 
 // OperatorRow is one line of the paper's Tables 2/3: per-operator totals.

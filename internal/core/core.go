@@ -84,7 +84,8 @@ func DeriveSubclass(parent, child *Component, parentSuite *driver.Suite, opts dr
 // and the methods the paper's experiments mutate.
 type Target struct {
 	Name string
-	// New builds a factory; eng may be nil for plain testing.
+	// New builds a factory; eng may be nil for plain testing (a nil
+	// engine leaves every instrumented use unmutated).
 	New func(eng *mutation.Engine) *Component
 	// Sites is the component's mutation site table (may be empty).
 	Sites []mutation.Site
@@ -96,14 +97,9 @@ type Target struct {
 // methods, one method name per mutant, for the impact report's mutant
 // accounting. Components without instrumentation yield nil.
 func (t Target) MutantMethods() []string {
-	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
+	eng, err := t.engine()
+	if err != nil || len(t.ExperimentMethods) == 0 {
 		return nil
-	}
-	eng := mutation.NewEngine()
-	for _, site := range t.Sites {
-		if err := eng.RegisterSite(site); err != nil {
-			return nil
-		}
 	}
 	var out []string
 	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
@@ -112,15 +108,28 @@ func (t Target) MutantMethods() []string {
 	return out
 }
 
+// engine builds a mutation engine over the target's site table: the one
+// place a campaign, a case server and the impact accounting get the sites
+// a mutant can be armed at.
+func (t Target) engine() (*mutation.Engine, error) {
+	if len(t.Sites) == 0 {
+		return nil, fmt.Errorf("core: component %q has no mutation instrumentation", t.Name)
+	}
+	eng := mutation.NewEngine()
+	for _, s := range t.Sites {
+		if err := eng.RegisterSite(s); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	return eng, nil
+}
+
 // Targets returns the built-in study subjects, keyed by component name.
 func Targets() map[string]Target {
 	return map[string]Target{
 		account.Name: {
 			Name: account.Name,
 			New: func(eng *mutation.Engine) *Component {
-				if eng == nil {
-					return &Component{Factory: account.NewFactory()}
-				}
 				return &Component{Factory: account.NewFactoryWithEngine(eng)}
 			},
 			Sites:             account.Sites(),
@@ -129,9 +138,6 @@ func Targets() map[string]Target {
 		oblist.Name: {
 			Name: oblist.Name,
 			New: func(eng *mutation.Engine) *Component {
-				if eng == nil {
-					return &Component{Factory: oblist.NewFactory()}
-				}
 				return &Component{Factory: oblist.NewFactoryWithEngine(eng)}
 			},
 			Sites:             oblist.Sites(),
@@ -140,9 +146,6 @@ func Targets() map[string]Target {
 		sortlist.Name: {
 			Name: sortlist.Name,
 			New: func(eng *mutation.Engine) *Component {
-				if eng == nil {
-					return &Component{Factory: sortlist.NewFactory()}
-				}
 				return &Component{Factory: sortlist.NewFactoryWithEngine(eng)}
 			},
 			// The sortable list inherits the base sites too: experiment 2
@@ -180,9 +183,6 @@ func Targets() map[string]Target {
 		ordersys.Name: {
 			Name: ordersys.Name,
 			New: func(eng *mutation.Engine) *Component {
-				if eng == nil {
-					return &Component{Factory: ordersys.NewFactory()}
-				}
 				return &Component{Factory: ordersys.NewFactoryWithEngine(eng)}
 			},
 			Sites:             ordersys.Sites(),
@@ -252,14 +252,9 @@ func MutationRunOpts(targetName string, suite *driver.Suite, methods []string, p
 	if err != nil {
 		return nil, err
 	}
-	if len(t.Sites) == 0 {
-		return nil, fmt.Errorf("core: component %q has no mutation instrumentation", targetName)
-	}
-	eng := mutation.NewEngine()
-	for _, s := range t.Sites {
-		if err := eng.RegisterSite(s); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	eng, err := t.engine()
+	if err != nil {
+		return nil, err
 	}
 	comp := t.New(eng)
 	if len(methods) == 0 {

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"concat/internal/analysis"
-	"concat/internal/mutation"
 	"concat/internal/testexec"
 )
 
@@ -36,14 +35,9 @@ func CaseResolver() testexec.Resolver {
 			comp := t.New(nil)
 			return testexec.Resolved{Factory: comp.Factory, Providers: comp.Providers}, nil
 		}
-		if len(t.Sites) == 0 {
-			return testexec.Resolved{}, fmt.Errorf("core: component %q has no mutation instrumentation", componentName)
-		}
-		eng := mutation.NewEngine()
-		for _, s := range t.Sites {
-			if err := eng.RegisterSite(s); err != nil {
-				return testexec.Resolved{}, fmt.Errorf("core: %w", err)
-			}
+		eng, err := t.engine()
+		if err != nil {
+			return testexec.Resolved{}, err
 		}
 		if err := eng.Activate(*ctx.Mutant); err != nil {
 			return testexec.Resolved{}, fmt.Errorf("core: arming mutant in case server: %w", err)

@@ -4,19 +4,24 @@
 // renders them and the repository benchmarks regenerate them under
 // `go test -bench`. The configuration is frozen here so the CLI, the
 // benchmarks and EXPERIMENTS.md all describe the same runs.
+//
+// The experiments compose core's mutation campaign (core.MutationRunOpts)
+// and do not assemble their own: the engine, site table, factories and
+// worker provisioning of every table and ablation come from core's target
+// table, the same recipe a -pool or -isolate case server rebuilds in its
+// child processes.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 
 	"concat/internal/analysis"
-	"concat/internal/component"
 	"concat/internal/components/oblist"
 	"concat/internal/components/product"
 	"concat/internal/components/sortlist"
+	"concat/internal/core"
 	"concat/internal/cover"
 	"concat/internal/driver"
 	"concat/internal/fsm"
@@ -62,19 +67,6 @@ type Config struct {
 	Store store.Backend
 }
 
-// exec builds the campaign's execution options from the frozen config.
-func (c Config) exec() testexec.Options {
-	return testexec.Options{Isolation: c.Isolation, Trace: c.Trace, Metrics: c.Metrics}
-}
-
-// parallelism resolves the configured worker count.
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Default returns the configuration every published number in
 // EXPERIMENTS.md was produced with.
 func Default() Config {
@@ -111,51 +103,32 @@ func NewSetup(cfg Config) (*Setup, error) {
 	return &Setup{Config: cfg, ParentSuite: parentSuite, Derived: d}, nil
 }
 
-// newListEngine builds the engine carrying both the base and subclass sites.
-func newListEngine() *mutation.Engine {
-	eng := mutation.NewEngine()
-	eng.MustRegisterSites(oblist.Sites()...)
-	eng.MustRegisterSites(sortlist.Sites()...)
-	return eng
-}
-
-// sortlistFactory binds a subclass factory to a (worker-scoped) engine.
-func sortlistFactory(eng *mutation.Engine) component.Factory {
-	return sortlist.NewFactoryWithEngine(eng)
-}
-
-// listAnalysis assembles the standard subclass campaign: sortable-list
-// objects under the derived suite, workers provisioned as factory-scoped
-// engine clones.
-func (s *Setup) listAnalysis(progress io.Writer) (*analysis.Analysis, *mutation.Engine) {
-	eng := newListEngine()
-	return &analysis.Analysis{
-		Engine:      eng,
-		Factory:     sortlistFactory(eng),
-		Suite:       s.Derived.Suite,
-		Exec:        s.Config.exec(),
-		Progress:    progress,
-		Parallelism: s.Config.parallelism(),
-		NewFactory:  sortlistFactory,
-		Store:       s.Config.Store,
-	}, eng
+// campaign runs the mutants of methods on the named built-in target under
+// suite, through core's campaign with the setup's isolation, side
+// channels, verdict store and worker count.
+func (s *Setup) campaign(target string, suite *driver.Suite, methods []string, progress io.Writer) (*analysis.Result, error) {
+	c := s.Config
+	return core.MutationRunOpts(target, suite, methods, progress, core.MutationOptions{
+		Exec:        testexec.Options{Isolation: c.Isolation, Trace: c.Trace, Metrics: c.Metrics},
+		Parallelism: c.Parallelism,
+		Store:       c.Store,
+	})
 }
 
 // Experiment1 is the paper's first experiment (Table 2): interface mutants
 // in the five CSortableObList methods, run under the subclass's full test
 // set (new + reused cases).
 func (s *Setup) Experiment1(progress io.Writer) (*analysis.Result, error) {
-	a, eng := s.listAnalysis(progress)
-	return a.Run(eng.Enumerate(nil, Experiment1Methods))
+	return s.campaign(sortlist.Name, s.Derived.Suite, Experiment1Methods, progress)
 }
 
 // Experiment2 is the paper's second experiment (Table 3): interface mutants
 // in the three inherited CObList methods, run under the same reduced
 // subclass suite — the inherited-only transactions having been skipped by
-// the incremental technique.
+// the incremental technique. The sortable-list target carries the base
+// sites too, so base methods are mutated while subclass objects run.
 func (s *Setup) Experiment2(progress io.Writer) (*analysis.Result, error) {
-	a, eng := s.listAnalysis(progress)
-	return a.Run(eng.Enumerate(nil, Experiment2Methods))
+	return s.campaign(sortlist.Name, s.Derived.Suite, Experiment2Methods, progress)
 }
 
 // ChildCoverage builds the coverage artifact of a finished subclass
@@ -186,21 +159,7 @@ func (s *Setup) ParentCoverage(res *analysis.Result) (*cover.Artifact, error) {
 // but it is the reference point for its conclusion: the kills lost in
 // Table 3 are the price of skipping inherited-only transactions.
 func (s *Setup) Experiment2Baseline(progress io.Writer) (*analysis.Result, error) {
-	eng := mutation.NewEngine()
-	eng.MustRegisterSites(oblist.Sites()...)
-	a := &analysis.Analysis{
-		Engine:      eng,
-		Factory:     oblist.NewFactoryWithEngine(eng),
-		Suite:       s.ParentSuite,
-		Exec:        s.Config.exec(),
-		Progress:    progress,
-		Parallelism: s.Config.parallelism(),
-		NewFactory: func(e *mutation.Engine) component.Factory {
-			return oblist.NewFactoryWithEngine(e)
-		},
-		Store: s.Config.Store,
-	}
-	return a.Run(eng.Enumerate(nil, Experiment2Methods))
+	return s.campaign(oblist.Name, s.ParentSuite, Experiment2Methods, progress)
 }
 
 // Counts reproduces §4's test-set size report: "A total of 233 test cases
@@ -310,12 +269,12 @@ type OracleAblation struct {
 }
 
 // RunOracleAblation executes experiment 1 three times under the different
-// oracle configurations.
+// oracle configurations, in process with no verdict store or side channels
+// whatever the setup's configuration.
 func (s *Setup) RunOracleAblation() (OracleAblation, error) {
 	run := func(exec testexec.Options, assertionsOnly bool) (float64, error) {
-		a, eng := s.listAnalysis(nil)
-		a.Exec = exec
-		res, err := a.Run(eng.Enumerate(nil, Experiment1Methods))
+		res, err := core.MutationRunOpts(sortlist.Name, s.Derived.Suite, Experiment1Methods, nil,
+			core.MutationOptions{Exec: exec, Parallelism: s.Config.Parallelism})
 		if err != nil {
 			return 0, err
 		}
@@ -401,7 +360,8 @@ type CriterionAblation struct {
 }
 
 // RunCriterionAblation generates ObList suites under each criterion and
-// scores them against the base-method mutants.
+// scores them against the base-method mutants, in process on GOMAXPROCS
+// workers.
 func RunCriterionAblation(seed int64) ([]CriterionAblation, error) {
 	var out []CriterionAblation
 	for _, crit := range []tfm.Criterion{tfm.CoverTransactions, tfm.CoverLinks, tfm.CoverNodes} {
@@ -410,18 +370,7 @@ func RunCriterionAblation(seed int64) ([]CriterionAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := mutation.NewEngine()
-		eng.MustRegisterSites(oblist.Sites()...)
-		a := &analysis.Analysis{
-			Engine:      eng,
-			Factory:     oblist.NewFactoryWithEngine(eng),
-			Suite:       suite,
-			Parallelism: runtime.GOMAXPROCS(0),
-			NewFactory: func(e *mutation.Engine) component.Factory {
-				return oblist.NewFactoryWithEngine(e)
-			},
-		}
-		res, err := a.Run(eng.Enumerate(nil, Experiment2Methods))
+		res, err := core.MutationRunOpts(oblist.Name, suite, Experiment2Methods, nil, core.MutationOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -40,6 +40,7 @@ import (
 	"concat/internal/domain"
 	"concat/internal/driver"
 	"concat/internal/fanout"
+	"concat/internal/obs"
 	"concat/internal/store"
 	"concat/internal/testexec"
 	"concat/internal/tspec"
@@ -194,6 +195,15 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 				if hit, _ := r.Store.Get(t.key, &t.entry); hit {
 					t.info.Warm = true
 					hits++
+					if exec.Trace != nil {
+						// A replayed case still shows in the trace, as
+						// a mutant replayed by the analysis does.
+						sp := exec.Trace.Start(exec.TraceParent, obs.KindCase, tc.ID)
+						sp.SetAttr("transaction", tc.Transaction)
+						sp.SetAttr("outcome", t.entry.Result.Outcome.String())
+						sp.SetAttr("cached", "true")
+						sp.End()
+					}
 					continue
 				}
 			}
@@ -215,18 +225,11 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 	// inside a full run — fanned over Parallelism workers, and each fresh
 	// result is recorded in the store. Under pool isolation one warm worker
 	// pool is shared across all runs.
-	if exec.Isolation == testexec.IsolatePool && exec.WorkerPool == nil {
-		size := exec.PoolSize
-		if size <= 0 {
-			size = r.parallelism()
-		}
-		p, err := testexec.NewWorkerPool(exec, size)
-		if err != nil {
-			return nil, fmt.Errorf("impact: provisioning worker pool: %w", err)
-		}
-		exec.WorkerPool = p
-		defer p.Close()
+	exec, closePool, err := testexec.CampaignPool(exec, r.parallelism())
+	if err != nil {
+		return nil, fmt.Errorf("impact: provisioning worker pool: %w", err)
 	}
+	defer closePool()
 	var pending []int
 	for i := range tasks {
 		if tasks[i].run {

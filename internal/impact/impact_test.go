@@ -10,6 +10,7 @@ import (
 	"concat/internal/cover"
 	"concat/internal/driver"
 	"concat/internal/impact"
+	"concat/internal/obs"
 	"concat/internal/store"
 	"concat/internal/testexec"
 	"concat/internal/tspec"
@@ -431,4 +432,65 @@ func FuzzImpactDecode(f *testing.F) {
 			t.Fatalf("round trip changed the report:\nbefore %+v\nafter  %+v", r, back)
 		}
 	})
+}
+
+// A warm replay is visible in the trace: every case served from the store
+// emits one cached case span, and tracing changes neither the final report
+// nor the coverage artifact.
+func TestWarmReplayTraced(t *testing.T) {
+	st := store.NewMem()
+	r := runner(t, "ObList", st)
+	spec := r.Factory.Spec()
+	if _, err := r.Run(spec, spec); err != nil {
+		t.Fatalf("priming run: %v", err)
+	}
+	plain, err := r.Run(spec, spec)
+	if err != nil {
+		t.Fatalf("untraced warm run: %v", err)
+	}
+	tr := obs.NewCollector()
+	r.Exec.Trace = tr
+	traced, err := r.Run(spec, spec)
+	if err != nil {
+		t.Fatalf("traced warm run: %v", err)
+	}
+
+	spans := tr.Spans()
+	if err := obs.ValidateTrace(spans); err != nil {
+		t.Fatalf("trace invalid: %v", err)
+	}
+	outcomes := map[string]string{}
+	for _, res := range plain.Final.Results {
+		outcomes[res.CaseID] = res.Outcome.String()
+	}
+	cached := 0
+	for _, sp := range spans {
+		if sp.Kind != obs.KindCase || sp.Attrs["cached"] != "true" {
+			t.Errorf("unexpected span %s %q %v", sp.Kind, sp.Name, sp.Attrs)
+			continue
+		}
+		tc, _ := traced.Suite.CaseByID(sp.Name)
+		if sp.Attrs["transaction"] != tc.Transaction || sp.Attrs["outcome"] != outcomes[sp.Name] {
+			t.Errorf("case span %s attrs %v, want transaction %q outcome %q",
+				sp.Name, sp.Attrs, tc.Transaction, outcomes[sp.Name])
+		}
+		cached++
+	}
+	if cached != 229 || traced.Report.CacheHits != 229 {
+		t.Errorf("%d cached case spans for %d replayed cases, want 229 each", cached, traced.Report.CacheHits)
+	}
+	if finalBytes(t, traced.Final) != finalBytes(t, plain.Final) {
+		t.Error("tracing changed the final report")
+	}
+	a, err := traced.Coverage.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := plain.Coverage.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Error("tracing changed the coverage artifact")
+	}
 }

@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concat/internal/analysis"
 	"concat/internal/core"
 	"concat/internal/cover"
 	"concat/internal/driver"
@@ -1190,18 +1191,10 @@ func (s *Server) runImpact(j *Job) (outcome, error) {
 // full campaign warm — all cache hits — and renders the byte-identical
 // report and coverage artifact a single process would have produced.
 func (s *Server) runLocal(j *Job) (outcome, error) {
-	t, err := core.LookupTarget(j.Req.Component)
-	if err != nil {
-		return outcome{}, err
-	}
-	suite, err := t.New(nil).GenerateSuite(j.Req.genOptions())
-	if err != nil {
-		return outcome{}, err
-	}
 	exec := j.Req.execOptions()
 	exec.Trace = obs.NewTracer(j.trace)
 	exec.Metrics = s.metrics
-	res, err := core.MutationRunOpts(j.Req.Component, suite, j.Req.Methods, nil, core.MutationOptions{
+	t, suite, res, err := j.Req.campaign(core.MutationOptions{
 		Exec:        exec,
 		Parallelism: s.cfg.Parallelism,
 		Store:       s.store,
@@ -1240,6 +1233,23 @@ func (s *Server) runLocal(j *Job) (outcome, error) {
 	fmt.Fprintln(&buf, out.counts.Coverage)
 	out.report = []byte(buf.String())
 	return out, nil
+}
+
+// campaign generates the request's suite and runs the request's mutation
+// campaign on it through core under o: the one call the coordinator's
+// local path and a remote shard worker share, so both derive the same
+// suite and, from the same execOptions base, the same verdict-store keys.
+func (r Request) campaign(o core.MutationOptions) (core.Target, *driver.Suite, *analysis.Result, error) {
+	t, err := core.LookupTarget(r.Component)
+	if err != nil {
+		return t, nil, nil, err
+	}
+	suite, err := t.New(nil).GenerateSuite(r.genOptions())
+	if err != nil {
+		return t, nil, nil, err
+	}
+	res, err := core.MutationRunOpts(r.Component, suite, r.Methods, nil, o)
+	return t, suite, res, err
 }
 
 // Handler returns the HTTP API:

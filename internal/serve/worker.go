@@ -195,15 +195,7 @@ func RunShard(req Request, shard, shards, parallelism int, backend store.Backend
 	if !store.Enabled(backend) {
 		return fmt.Errorf("serve: shard execution requires a verdict store")
 	}
-	t, err := core.LookupTarget(req.Component)
-	if err != nil {
-		return err
-	}
-	suite, err := t.New(nil).GenerateSuite(req.genOptions())
-	if err != nil {
-		return err
-	}
-	_, err = core.MutationRunOpts(req.Component, suite, req.Methods, nil, core.MutationOptions{
+	_, _, _, err := req.campaign(core.MutationOptions{
 		Exec:        req.execOptions(),
 		Parallelism: parallelism,
 		Store:       backend,
