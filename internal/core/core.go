@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"sync"
 
 	"concat/internal/analysis"
 	"concat/internal/component"
@@ -124,8 +126,13 @@ func (t Target) engine() (*mutation.Engine, error) {
 	return eng, nil
 }
 
-// Targets returns the built-in study subjects, keyed by component name.
-func Targets() map[string]Target {
+// Targets returns the built-in study subjects, keyed by component name, in
+// a map of the caller's own.
+func Targets() map[string]Target { return maps.Clone(targetTable()) }
+
+// targetTable is the registry Targets copies and LookupTarget reads, built
+// once.
+var targetTable = sync.OnceValue(func() map[string]Target {
 	return map[string]Target{
 		account.Name: {
 			Name: account.Name,
@@ -189,11 +196,11 @@ func Targets() map[string]Target {
 			ExperimentMethods: []string{"Checkout"},
 		},
 	}
-}
+})
 
 // LookupTarget resolves a built-in component by name.
 func LookupTarget(name string) (Target, error) {
-	t, ok := Targets()[name]
+	t, ok := targetTable()[name]
 	if !ok {
 		return Target{}, fmt.Errorf("core: unknown component %q (run `concat list` for the built-ins)", name)
 	}

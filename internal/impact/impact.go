@@ -21,9 +21,13 @@
 // Because the driver seeds each transaction's RNG stream independently
 // (driver.Generate), an edit localized to one method perturbs only the
 // transactions that exercise it; everything else stays byte-identical and
-// replays warm. Per-case results are stored under store.KindCaseResult keys
-// addressed by the case's own canonical hash, so reuse survives arbitrary
-// spec edits — unlike whole-suite report keys, which any edit moves.
+// replays warm. Each case's testexec.CaseRecord is stored under a
+// store.KindCaseResult key addressed by the case's own canonical hash, so
+// reuse survives arbitrary spec edits — unlike whole-suite report keys,
+// which any edit moves. The invalidated cases execute together as one
+// suite run (under pool isolation batched like any suite, -batch applies),
+// and the final report is assembled from every case's record by
+// testexec.Assemble, as a full run's is.
 package impact
 
 import (
@@ -33,7 +37,6 @@ import (
 	"sort"
 	"strings"
 
-	"concat/internal/bit"
 	"concat/internal/component"
 	"concat/internal/core/canon"
 	"concat/internal/cover"
@@ -56,16 +59,6 @@ const (
 	DecisionRegenerated Decision = "regenerated"
 )
 
-// caseEntry is the stored form of one case's execution: the per-case slice
-// of a testexec.Report. Sites and Abandoned carry the case's contribution to
-// the report-level BIT telemetry and goroutine-leak count, so a report
-// reassembled from entries is byte-identical to one produced by a full run.
-type caseEntry struct {
-	Result    testexec.CaseResult `json:"result"`
-	Sites     []bit.SiteRecord    `json:"sites,omitempty"`
-	Abandoned int                 `json:"abandoned,omitempty"`
-}
-
 // Runner configures impact-driven re-runs of one component.
 type Runner struct {
 	// Factory builds the component under test; its Name must match the new
@@ -76,20 +69,22 @@ type Runner struct {
 	// Gen configures suite generation; the same options are applied to the
 	// old and new specs so the diff compares like with like.
 	Gen driver.Options
-	// Exec configures execution of invalidated cases. The runner executes
-	// each case as its own single-case run (results are position-independent
-	// by the CaseSeed contract), so Exec.Parallelism has nothing to fan out
-	// and Run rejects a non-zero value; Runner.Parallelism fans the cases
-	// out. LogWriter and LeakLedger are ignored — per-case logs would
-	// interleave and a shared ledger's delta windows would race.
+	// Exec configures execution of invalidated cases. They execute as one
+	// suite run of the invalidated partition (results are
+	// position-independent by the CaseSeed contract), fanned out over
+	// Runner.Parallelism workers; Run rejects a non-zero Exec.Parallelism
+	// so there is one worker knob. Under IsolatePool the run batches its
+	// cases by Exec.BatchSize like any suite. LogWriter is ignored: the log
+	// of the invalidated partition alone is not the suite's log.
 	Exec testexec.Options
 	// Store is the verdict store backing warm replay; disabled (nil) makes
 	// every case execute. An Oracle in Exec also disables replay: an
 	// oracle's behaviour cannot be fingerprinted into the key.
 	Store store.Backend
 	// Parallelism is the number of workers the invalidated cases fan out
-	// over (internal/fanout); <=0 uses GOMAXPROCS. A failing run takes no
-	// further case and returns the error of the lowest-indexed failing case.
+	// over, and the fresh records' store writes after them; <=0 uses
+	// GOMAXPROCS. A failing store write takes no further write and returns
+	// the error of the lowest-indexed failing case.
 	Parallelism int
 	// MutantMethods is the method name of every mutant enumerable for the
 	// component (one entry per mutant, duplicates expected). Used only for
@@ -101,8 +96,8 @@ type Runner struct {
 type Result struct {
 	// Report is the impact artifact: the partition and its attribution.
 	Report *Report
-	// Final is the reassembled suite report, byte-identical to a cold
-	// testexec.Run of Suite on the new spec.
+	// Final is the suite report assembled from every case's record,
+	// byte-identical to a cold testexec.Run of Suite on the new spec.
 	Final *testexec.Report
 	// Coverage is the coverage artifact of the final report against the new
 	// spec's TFM, byte-identical to a cold run's.
@@ -120,7 +115,7 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 		return nil, errors.New("impact: nil factory")
 	}
 	if r.Exec.Parallelism != 0 {
-		return nil, errors.New("impact: Exec.Parallelism has no effect (every case runs as its own suite); set Runner.Parallelism")
+		return nil, errors.New("impact: Exec.Parallelism is not impact's worker knob; set Runner.Parallelism")
 	}
 	if newSpec.Class.Name != r.Factory.Name() {
 		return nil, fmt.Errorf("impact: new spec is for %q but factory builds %q",
@@ -142,7 +137,6 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 		exec.Providers = r.Providers
 	}
 	exec.LogWriter = nil
-	exec.LeakLedger = nil
 	cacheable := store.Enabled(r.Store) && exec.Oracle == nil
 	fp, err := exec.ResultFingerprint()
 	if err != nil {
@@ -160,6 +154,7 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 
 	// Classify every case of the new suite and replay what we can.
 	tasks := make([]task, len(newSuite.Cases))
+	recs := make([]testexec.CaseRecord, len(newSuite.Cases))
 	hits := 0
 	for i, tc := range newSuite.Cases {
 		caseHash, err := canon.Hash(tc)
@@ -192,7 +187,7 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 			if cacheable {
 				// A lookup error (corrupt entry) is a miss; the Put after
 				// execution repairs it.
-				if hit, _ := r.Store.Get(t.key, &t.entry); hit {
+				if hit, _ := r.Store.Get(t.key, &recs[i]); hit {
 					t.info.Warm = true
 					hits++
 					if exec.Trace != nil {
@@ -200,7 +195,7 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 						// a mutant replayed by the analysis does.
 						sp := exec.Trace.Start(exec.TraceParent, obs.KindCase, tc.ID)
 						sp.SetAttr("transaction", tc.Transaction)
-						sp.SetAttr("outcome", t.entry.Result.Outcome.String())
+						sp.SetAttr("outcome", recs[i].Result.Outcome.String())
 						sp.SetAttr("cached", "true")
 						sp.End()
 					}
@@ -220,62 +215,37 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 		}
 	}
 
-	// Execute the invalidated partition. Each case runs as its own suite —
-	// by the CaseSeed contract its result is identical to the same case
-	// inside a full run — fanned over Parallelism workers, and each fresh
-	// result is recorded in the store. Under pool isolation one warm worker
-	// pool is shared across all runs.
-	exec, closePool, err := testexec.CampaignPool(exec, r.parallelism())
-	if err != nil {
-		return nil, fmt.Errorf("impact: provisioning worker pool: %w", err)
-	}
-	defer closePool()
+	// Execute the invalidated partition as one suite run — by the CaseSeed
+	// contract each case's record is identical to the same case's inside a
+	// full run — and record each fresh record in the store.
 	var pending []int
+	run := &driver.Suite{Component: newSuite.Component, Seed: newSuite.Seed, Criterion: newSuite.Criterion}
 	for i := range tasks {
 		if tasks[i].run {
 			pending = append(pending, i)
+			run.Cases = append(run.Cases, tasks[i].tc)
 		}
 	}
-	err = fanout.Run(len(pending), r.parallelism(), nil, func(_ struct{}, j int) error {
-		t := &tasks[pending[j]]
-		one := &driver.Suite{
-			Component: newSuite.Component,
-			Seed:      newSuite.Seed,
-			Criterion: newSuite.Criterion,
-			Cases:     []driver.TestCase{t.tc},
-		}
-		rep, err := testexec.Run(one, r.Factory, exec)
+	if len(pending) > 0 {
+		exec.Parallelism = r.parallelism()
+		fresh, err := testexec.RunRecords(run, r.Factory, exec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(rep.Results) != 1 {
-			return fmt.Errorf("impact: case %s produced %d results", t.tc.ID, len(rep.Results))
+		for j, i := range pending {
+			recs[i] = fresh[j]
 		}
-		t.entry = caseEntry{
-			Result:    rep.Results[0],
-			Sites:     rep.BITSites,
-			Abandoned: rep.AbandonedGoroutines,
-		}
-		if cacheable {
-			return r.Store.Put(t.key, t.entry)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	// Reassemble the final report in suite order: results concatenate,
-	// per-case BIT telemetry merges (order-insensitive, like a full run's
-	// per-case merge), abandonment counts sum.
-	final := &testexec.Report{Component: newSuite.Component}
-	tel := bit.NewTelemetry()
-	for i := range tasks {
-		final.Results = append(final.Results, tasks[i].entry.Result)
-		tel.MergeRecords(tasks[i].entry.Sites)
-		final.AbandonedGoroutines += tasks[i].entry.Abandoned
+	if cacheable {
+		err := fanout.Run(len(pending), r.parallelism(), nil, func(_ struct{}, j int) error {
+			i := pending[j]
+			return r.Store.Put(tasks[i].key, recs[i])
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	final.BITSites = tel.Records()
+	final := testexec.Assemble(newSuite.Component, recs)
 
 	g, err := newSpec.TFM()
 	if err != nil {
@@ -325,14 +295,13 @@ func (r *Runner) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// task is one case of the new suite moving through classification,
-// execution/replay and reassembly.
+// task is one case of the new suite moving through classification and
+// execution or replay; its record sits at the same index of Run's records.
 type task struct {
-	tc    driver.TestCase
-	key   store.Key
-	entry caseEntry
-	info  CaseImpact
-	run   bool // needs execution
+	tc   driver.TestCase
+	key  store.Key
+	info CaseImpact
+	run  bool // needs execution
 }
 
 // touchesImpacted reports whether any of the case's methods is impacted.

@@ -435,62 +435,94 @@ func FuzzImpactDecode(f *testing.F) {
 }
 
 // A warm replay is visible in the trace: every case served from the store
-// emits one cached case span, and tracing changes neither the final report
-// nor the coverage artifact.
+// emits one cached case span, every executed case hangs under the one
+// suite span of the invalidated partition, and tracing changes neither the
+// final report nor the coverage artifact. The identical-spec input replays
+// all 229 ObList cases; the perturbed one (a RemoveAt domain edit) replays
+// part and executes the rest.
 func TestWarmReplayTraced(t *testing.T) {
-	st := store.NewMem()
-	r := runner(t, "ObList", st)
-	spec := r.Factory.Spec()
-	if _, err := r.Run(spec, spec); err != nil {
-		t.Fatalf("priming run: %v", err)
-	}
-	plain, err := r.Run(spec, spec)
-	if err != nil {
-		t.Fatalf("untraced warm run: %v", err)
-	}
-	tr := obs.NewCollector()
-	r.Exec.Trace = tr
-	traced, err := r.Run(spec, spec)
-	if err != nil {
-		t.Fatalf("traced warm run: %v", err)
-	}
+	for _, perturbed := range []bool{false, true} {
+		st := store.NewMem()
+		r := runner(t, "ObList", st)
+		spec := r.Factory.Spec()
+		old := spec
+		if perturbed {
+			old, _ = perturbDomain(t, spec)
+		}
+		if _, err := r.Run(spec, spec); err != nil {
+			t.Fatalf("priming run: %v", err)
+		}
+		plain, err := r.Run(old, spec)
+		if err != nil {
+			t.Fatalf("untraced warm run: %v", err)
+		}
+		tr := obs.NewCollector()
+		r.Exec.Trace = tr
+		traced, err := r.Run(old, spec)
+		if err != nil {
+			t.Fatalf("traced warm run: %v", err)
+		}
 
-	spans := tr.Spans()
-	if err := obs.ValidateTrace(spans); err != nil {
-		t.Fatalf("trace invalid: %v", err)
-	}
-	outcomes := map[string]string{}
-	for _, res := range plain.Final.Results {
-		outcomes[res.CaseID] = res.Outcome.String()
-	}
-	cached := 0
-	for _, sp := range spans {
-		if sp.Kind != obs.KindCase || sp.Attrs["cached"] != "true" {
-			t.Errorf("unexpected span %s %q %v", sp.Kind, sp.Name, sp.Attrs)
-			continue
+		spans := tr.Spans()
+		if err := obs.ValidateTrace(spans); err != nil {
+			t.Fatalf("perturbed=%v: trace invalid: %v", perturbed, err)
 		}
-		tc, _ := traced.Suite.CaseByID(sp.Name)
-		if sp.Attrs["transaction"] != tc.Transaction || sp.Attrs["outcome"] != outcomes[sp.Name] {
-			t.Errorf("case span %s attrs %v, want transaction %q outcome %q",
-				sp.Name, sp.Attrs, tc.Transaction, outcomes[sp.Name])
+		outcomes := map[string]string{}
+		for _, res := range plain.Final.Results {
+			outcomes[res.CaseID] = res.Outcome.String()
 		}
-		cached++
-	}
-	if cached != 229 || traced.Report.CacheHits != 229 {
-		t.Errorf("%d cached case spans for %d replayed cases, want 229 each", cached, traced.Report.CacheHits)
-	}
-	if finalBytes(t, traced.Final) != finalBytes(t, plain.Final) {
-		t.Error("tracing changed the final report")
-	}
-	a, err := traced.Coverage.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plain.Coverage.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Error("tracing changed the coverage artifact")
+		var suites []obs.Span
+		for _, sp := range spans {
+			if sp.Kind == obs.KindSuite {
+				suites = append(suites, sp)
+			}
+		}
+		cached, executed := 0, 0
+		for _, sp := range spans {
+			switch {
+			case sp.Kind == obs.KindCase && sp.Attrs["cached"] == "true":
+				tc, _ := traced.Suite.CaseByID(sp.Name)
+				if sp.Attrs["transaction"] != tc.Transaction || sp.Attrs["outcome"] != outcomes[sp.Name] {
+					t.Errorf("case span %s attrs %v, want transaction %q outcome %q",
+						sp.Name, sp.Attrs, tc.Transaction, outcomes[sp.Name])
+				}
+				cached++
+			case perturbed && sp.Kind == obs.KindCase:
+				if len(suites) != 1 || sp.Parent != suites[0].ID {
+					t.Errorf("executed case span %s has parent %d, not the suite span", sp.Name, sp.Parent)
+				}
+				executed++
+			case perturbed && (sp.Kind == obs.KindSuite || sp.Kind == obs.KindCall):
+			default:
+				t.Errorf("perturbed=%v: unexpected span %s %q %v", perturbed, sp.Kind, sp.Name, sp.Attrs)
+			}
+		}
+		hits, misses := traced.Report.CacheHits, traced.Report.CacheMisses
+		if !perturbed && (cached != 229 || hits != 229) {
+			t.Errorf("%d cached case spans for %d replayed cases, want 229 each", cached, hits)
+		}
+		if perturbed {
+			if hits == 0 || misses == 0 || cached != hits || executed != misses {
+				t.Errorf("%d cached and %d executed case spans for %d replayed and %d executed cases, want both parts non-empty and matching",
+					cached, executed, hits, misses)
+			}
+			if len(suites) != 1 {
+				t.Errorf("%d suite spans, want one for the invalidated partition", len(suites))
+			}
+		}
+		if finalBytes(t, traced.Final) != finalBytes(t, plain.Final) {
+			t.Errorf("perturbed=%v: tracing changed the final report", perturbed)
+		}
+		a, err := traced.Coverage.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := plain.Coverage.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("perturbed=%v: tracing changed the coverage artifact", perturbed)
+		}
 	}
 }

@@ -116,16 +116,34 @@ type CaseResult struct {
 	Extra json.RawMessage
 }
 
+// CaseRecord is one executed case's full record: its result plus its
+// contribution to the report-level BIT telemetry and abandonment count.
+// Both run modes produce one record per case (RunRecords) and a Report is
+// assembled from records (Assemble), so a report rebuilt from stored
+// records (the test-impact engine stores each under a store.KindCaseResult
+// key in this JSON shape) is byte-identical to a full run's.
+type CaseRecord struct {
+	Result CaseResult `json:"result"`
+	// Sites is the case's assertion-site telemetry, sorted by site. A
+	// timed-out case has none (see Report.BITSites).
+	Sites []bit.SiteRecord `json:"sites,omitempty"`
+	// Abandoned is 1 when the case timed out in process and its goroutine
+	// was abandoned, else 0.
+	Abandoned int `json:"abandoned,omitempty"`
+}
+
 // Report aggregates a suite run.
 type Report struct {
 	Component string
 	Results   []CaseResult
 	// AbandonedGoroutines counts the cases whose in-process execution
 	// exceeded CaseTimeout: their goroutines cannot be killed and were
-	// abandoned (and recorded in the leak ledger). Deterministic — one per
-	// in-process timeout — so serial and parallel runs agree. Subprocess
-	// isolation never abandons goroutines in the harness (the leak dies
-	// with the child), so the count stays zero there.
+	// abandoned (and recorded in the leak ledger, if one is given). It is
+	// the sum of the cases' own counts (CaseRecord.Abandoned), so it is
+	// deterministic and independent of any other run sharing the ledger,
+	// and serial and parallel runs agree. Subprocess isolation never
+	// abandons goroutines in the harness (the leak dies with the child),
+	// so the count stays zero there.
 	AbandonedGoroutines int
 	// BITSites is the suite's aggregated assertion-site telemetry: for every
 	// (kind, method, predicate) assertion the component evaluated through its
@@ -146,6 +164,25 @@ type Report struct {
 	// order; the index is a read-side cache only.
 	indexOnce sync.Once
 	index     map[string]int
+}
+
+// Assemble builds a suite report from its cases' records in suite order:
+// results concatenate, site counts merge (addition, so the order of the
+// merge does not matter) and abandonment counts sum.
+func Assemble(component string, recs []CaseRecord) *Report {
+	rep := &Report{Component: component}
+	if len(recs) == 0 {
+		return rep // nil Results: an empty report has one encoding
+	}
+	rep.Results = make([]CaseResult, len(recs))
+	tel := bit.NewTelemetry()
+	for i, rec := range recs {
+		rep.Results[i] = rec.Result
+		tel.MergeRecords(rec.Sites)
+		rep.AbandonedGoroutines += rec.Abandoned
+	}
+	rep.BITSites = tel.Records()
+	return rep
 }
 
 // Counts returns the number of cases per outcome.
@@ -263,10 +300,10 @@ type Options struct {
 	// transcript carries a truncation marker.
 	MaxTranscriptBytes int64
 	// LeakLedger receives the abandonment record of every timed-out case's
-	// goroutine. Nil uses a private per-run ledger; pass a shared
-	// sandbox.Ledger to watch Outstanding() across runs (a live gauge of
-	// goroutines still spinning past their deadline). Either way the
-	// per-run abandonment count lands in Report.AbandonedGoroutines.
+	// goroutine. Nil keeps none; pass a shared sandbox.Ledger to watch
+	// Outstanding() across runs (a live gauge of goroutines still spinning
+	// past their deadline). Either way each abandoned case counts one in
+	// its own CaseRecord, and Report.AbandonedGoroutines sums them.
 	LeakLedger *sandbox.Ledger
 	// Isolation selects the crash-containment mode. IsolateSubprocess and
 	// IsolatePool execute cases in child case servers so fatal mutant
@@ -329,7 +366,8 @@ func CaseSeed(suiteSeed int64, caseID string) int64 {
 	return domain.DeriveSeed(suiteSeed, "case:"+caseID)
 }
 
-// Run executes the suite against the component. Per-case failures are
+// Run executes the suite against the component and assembles the report
+// from its cases' records (RunRecords, Assemble). Per-case failures are
 // recorded in the report, not returned as errors; Run itself fails only on
 // harness-level misuse (nil suite/factory, component name mismatch).
 //
@@ -337,6 +375,16 @@ func CaseSeed(suiteSeed int64, caseID string) int64 {
 // is identical to the serial run's (see CaseSeed) and the run log is still
 // written in suite order.
 func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
+	recs, err := RunRecords(s, f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Assemble(s.Component, recs), nil
+}
+
+// RunRecords executes the suite under one suite span and returns one
+// record per case, in suite order whichever worker ran which case.
+func RunRecords(s *driver.Suite, f component.Factory, opts Options) ([]CaseRecord, error) {
 	if s == nil || f == nil {
 		return nil, errors.New("testexec: nil suite or factory")
 	}
@@ -347,12 +395,6 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 	if log == nil {
 		log = io.Discard
 	}
-	ledger := opts.LeakLedger
-	if ledger == nil {
-		ledger = sandbox.NewLedger()
-	}
-	abandonedAtStart := ledger.Abandoned()
-	spec := f.Spec()
 
 	// The suite span roots the run's trace; every case span hangs off it.
 	// Span attrs carry only deterministic labels — wall-clock lives in the
@@ -365,108 +407,129 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 		suiteSpan.SetAttr("isolation", "pool")
 	}
 
-	// suiteTel aggregates every completed case's assertion-site counts into
-	// Report.BITSites. Merging is commutative addition over sorted records,
-	// so the aggregate is independent of worker scheduling.
-	suiteTel := bit.NewTelemetry()
-
-	runCaseInner := func(tc driver.TestCase, caseSpan *obs.ActiveSpan, caseTel *bit.Telemetry) (res CaseResult) {
-		seed := CaseSeed(opts.Seed, tc.ID)
-		// Harness hooks run outside runCase's recovery: a panicking
-		// Forker.Fork, provider map, or Oracle.Check must become a recorded
-		// per-case outcome, never a harness crash.
-		defer func() {
-			if p := recover(); p != nil {
-				res.CaseID, res.Transaction, res.Seed = tc.ID, tc.Transaction, seed
-				res.Outcome = OutcomePanic
-				res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
-			}
-		}()
-		// Components whose instances share mutable context
-		// (component.Forker) get a fresh world per case: without this, a
-		// case's transcript depends on what earlier — or, under
-		// parallelism, concurrent — cases left behind in the shared state.
-		cf, caseOpts := f, opts
-		if fk, ok := f.(component.Forker); ok {
-			cf = fk.Fork()
-			if ps, ok := cf.(interface {
-				Providers() map[string]domain.Provider
-			}); ok && caseOpts.Providers != nil {
-				caseOpts.Providers = ps.Providers()
-			}
-		}
-		res = runCaseBounded(tc, cf, spec, caseOpts, seed, ledger, caseSpan.ID(), caseTel)
-		res.Seed = seed
-		if opts.Oracle != nil && res.Outcome == OutcomePass {
-			if err := opts.Oracle.Check(tc.ID, res.Transcript); err != nil {
-				res.Outcome = OutcomeOutputDiff
-				res.Detail = err.Error()
-			}
-		}
-		return res
-	}
-	runOne := func(tc driver.TestCase) CaseResult {
-		caseSpan := opts.Trace.Start(suiteSpan.ID(), obs.KindCase, tc.ID)
-		caseSpan.SetAttr("transaction", tc.Transaction)
-		var begin time.Time
-		if opts.Metrics != nil {
-			begin = time.Now()
-		}
-		// Each case gets a private telemetry; its counts join the suite
-		// aggregate only when the case completed. A timed-out case's
-		// abandoned goroutine keeps writing into its private telemetry
-		// harmlessly — merging it would make the aggregate racy.
-		caseTel := bit.NewTelemetry()
-		res := runCaseInner(tc, caseSpan, caseTel)
-		if res.Outcome != OutcomeTimeout {
-			suiteTel.Merge(caseTel)
-		}
-		caseSpan.SetAttr("outcome", res.Outcome.String())
-		if res.Method != "" {
-			caseSpan.SetAttr("method", res.Method)
-		}
-		caseSpan.End()
-		if opts.Metrics != nil {
-			opts.Metrics.Inc("case.total", 1)
-			opts.Metrics.Inc("case.outcome."+res.Outcome.String(), 1)
-			opts.Metrics.Observe("case.duration", tc.ID, time.Since(begin))
-		}
-		return res
-	}
-
-	// Results land index-aligned whichever worker ran which case, so the
-	// report and the log, written afterwards, are in suite order.
-	var results []CaseResult
+	r := &suiteRun{s: s, opts: opts, span: suiteSpan}
 	if opts.Isolation == IsolateSubprocess || opts.Isolation == IsolatePool {
-		// Child processes: batched dispatch replaces the per-case runOne
-		// loop; all per-case bookkeeping (spans, oracle, telemetry, metrics)
-		// happens inside the dispatcher with the same rules.
-		var err error
-		if results, err = runPooled(s, opts, suiteSpan, suiteTel); err != nil {
+		// Child processes: batched dispatch replaces the per-case loop
+		// below; each case still ends in finish.
+		if err := runPooled(r); err != nil {
 			return nil, err
 		}
-	} else if len(s.Cases) > 0 { // an empty suite's Results stay nil
-		results = make([]CaseResult, len(s.Cases))
+	} else if len(s.Cases) > 0 { // an empty suite has no records
+		r.recs = make([]CaseRecord, len(s.Cases))
+		spec := f.Spec()
 		_ = fanout.Run(len(s.Cases), opts.Parallelism, nil, func(_ struct{}, i int) error {
-			results[i] = runOne(s.Cases[i])
+			tc := s.Cases[i]
+			caseSpan := r.startCase(tc)
+			var begin time.Time
+			if opts.Metrics != nil {
+				begin = time.Now()
+			}
+			// Each case gets a private telemetry, so a timed-out case's
+			// abandoned goroutine keeps writing into its own harmlessly.
+			caseTel := bit.NewTelemetry()
+			res, abandoned := r.runInProcess(tc, f, spec, caseSpan.ID(), caseTel)
+			rec := CaseRecord{Result: res, Sites: caseTel.Records()}
+			if abandoned {
+				rec.Abandoned = 1
+			}
+			r.finish(i, caseSpan, rec, begin)
 			return nil
 		})
 	}
-	for _, res := range results {
-		writeLog(log, res)
+	for _, rec := range r.recs {
+		writeLog(log, rec.Result)
 	}
 	if workers := min(opts.Parallelism, len(s.Cases)); workers > 1 {
 		suiteSpan.SetAttr("parallelism", strconv.Itoa(workers))
 	}
-	report := &Report{
-		Component:           s.Component,
-		Results:             results,
-		AbandonedGoroutines: int(ledger.Abandoned() - abandonedAtStart),
-		BITSites:            suiteTel.Records(),
-	}
 	suiteSpan.End()
 	opts.Metrics.Inc("suite.runs", 1)
-	return report, nil
+	return r.recs, nil
+}
+
+// suiteRun is one RunRecords call's per-case state, shared by the
+// in-process loop and the pooled dispatcher.
+type suiteRun struct {
+	s    *driver.Suite
+	opts Options
+	span *obs.ActiveSpan // the suite span
+	recs []CaseRecord    // index-aligned with s.Cases
+}
+
+// startCase opens a case's span under the suite span.
+func (r *suiteRun) startCase(tc driver.TestCase) *obs.ActiveSpan {
+	sp := r.opts.Trace.Start(r.span.ID(), obs.KindCase, tc.ID)
+	sp.SetAttr("transaction", tc.Transaction)
+	return sp
+}
+
+// runInProcess executes one case in this process, in a fresh world when the
+// factory forks one, and reports whether its goroutine was abandoned.
+func (r *suiteRun) runInProcess(tc driver.TestCase, f component.Factory, spec *tspec.Spec, caseSpan obs.SpanID, tel *bit.Telemetry) (res CaseResult, abandoned bool) {
+	seed := CaseSeed(r.opts.Seed, tc.ID)
+	// Harness hooks run outside runCase's recovery: a panicking
+	// Forker.Fork or provider map must become a recorded per-case
+	// outcome, never a harness crash.
+	defer func() {
+		if p := recover(); p != nil {
+			res.CaseID, res.Transaction, res.Seed = tc.ID, tc.Transaction, seed
+			res.Outcome = OutcomePanic
+			res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
+		}
+	}()
+	// Components whose instances share mutable context (component.Forker)
+	// get a fresh world per case: without this, a case's transcript
+	// depends on what earlier — or, under parallelism, concurrent — cases
+	// left behind in the shared state.
+	cf, caseOpts := f, r.opts
+	if fk, ok := f.(component.Forker); ok {
+		cf = fk.Fork()
+		if ps, ok := cf.(interface {
+			Providers() map[string]domain.Provider
+		}); ok && caseOpts.Providers != nil {
+			caseOpts.Providers = ps.Providers()
+		}
+	}
+	res, abandoned = runCaseBounded(tc, cf, spec, caseOpts, seed, r.opts.LeakLedger, caseSpan, tel)
+	res.Seed = seed
+	return res, abandoned
+}
+
+// finish is the per-case step both run modes end in: the oracle check of a
+// passing case (a panicking Check becomes a recorded crash, never a
+// harness crash), the rule that a timed-out case contributes no sites (its
+// abandoned goroutine may still be recording), the case span's outcome and
+// method, the case.* metrics, and the record stored at index i.
+func (r *suiteRun) finish(i int, caseSpan *obs.ActiveSpan, rec CaseRecord, begin time.Time) {
+	tc, res := r.s.Cases[i], &rec.Result
+	if r.opts.Oracle != nil && res.Outcome == OutcomePass {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					res.Outcome = OutcomePanic
+					res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
+				}
+			}()
+			if err := r.opts.Oracle.Check(tc.ID, res.Transcript); err != nil {
+				res.Outcome = OutcomeOutputDiff
+				res.Detail = err.Error()
+			}
+		}()
+	}
+	if res.Outcome == OutcomeTimeout {
+		rec.Sites = nil
+	}
+	caseSpan.SetAttr("outcome", res.Outcome.String())
+	if res.Method != "" {
+		caseSpan.SetAttr("method", res.Method)
+	}
+	caseSpan.End()
+	if r.opts.Metrics != nil {
+		r.opts.Metrics.Inc("case.total", 1)
+		r.opts.Metrics.Inc("case.outcome."+res.Outcome.String(), 1)
+		r.opts.Metrics.Observe("case.duration", tc.ID, time.Since(begin))
+	}
+	r.recs[i] = rec
 }
 
 // Case-goroutine states for the timeout watchdog's handover.
@@ -477,14 +540,14 @@ const (
 )
 
 // runCaseBounded applies Options.CaseTimeout around runCase. A timed-out
-// case's goroutine cannot be killed; it is abandoned into the leak ledger
-// (and settles its entry if it ever completes), while the timeout result
-// keeps the case's seed and the partial transcript written so far — a
-// timeout kill is as diagnosable as a panic.
-func runCaseBounded(tc driver.TestCase, f component.Factory, spec *tspec.Spec, opts Options, seed int64, ledger *sandbox.Ledger, caseSpan obs.SpanID, tel *bit.Telemetry) CaseResult {
+// case's goroutine cannot be killed; it is abandoned (abandoned=true) into
+// the leak ledger, if any, and settles its entry if it ever completes,
+// while the timeout result keeps the case's seed and the partial
+// transcript written so far — a timeout kill is as diagnosable as a panic.
+func runCaseBounded(tc driver.TestCase, f component.Factory, spec *tspec.Spec, opts Options, seed int64, ledger *sandbox.Ledger, caseSpan obs.SpanID, tel *bit.Telemetry) (res CaseResult, abandoned bool) {
 	tb := newTranscript(opts.MaxTranscriptBytes)
 	if opts.CaseTimeout <= 0 {
-		return runCase(tc, f, spec, opts, seed, tb, caseSpan, tel)
+		return runCase(tc, f, spec, opts, seed, tb, caseSpan, tel), false
 	}
 	done := make(chan CaseResult, 1)
 	var state atomic.Int32
@@ -502,12 +565,12 @@ func runCaseBounded(tc driver.TestCase, f component.Factory, spec *tspec.Spec, o
 	defer timer.Stop()
 	select {
 	case res := <-done:
-		return res
+		return res, false
 	case <-timer.C:
 		if !state.CompareAndSwap(caseRunning, caseAbandoned) {
 			// The case finished in the instant the timer fired; its result
 			// is already in the channel.
-			return <-done
+			return <-done, false
 		}
 		ledger.Abandon()
 		return CaseResult{
@@ -517,7 +580,7 @@ func runCaseBounded(tc driver.TestCase, f component.Factory, spec *tspec.Spec, o
 			Seed:        seed,
 			Detail:      fmt.Sprintf("case exceeded %v; goroutine abandoned (leak ledger)", opts.CaseTimeout),
 			Transcript:  tb.Snapshot(fmt.Sprintf("[case timed out after %v: partial transcript]", opts.CaseTimeout)),
-		}
+		}, true
 	}
 }
 

@@ -180,7 +180,7 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 		opts.Trace = obs.NewCollector()
 	}
 	caseTel := bit.NewTelemetry()
-	res := runCaseBounded(item.Case, f, f.Spec(), opts, item.Seed, nil, 0, caseTel)
+	res, _ := runCaseBounded(item.Case, f, f.Spec(), opts, item.Seed, nil, 0, caseTel)
 	res.Seed = item.Seed
 	if resolved.Finish != nil {
 		res.Extra = resolved.Finish()
@@ -229,7 +229,7 @@ func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 }
 
 // CampaignPool applies the warm-pool rule of a campaign that makes many
-// Run calls (a mutation analysis, an impact re-run): under IsolatePool
+// Run calls (a mutation analysis): under IsolatePool
 // with no WorkerPool given, it builds one pool of PoolSize workers (else
 // workers) for every run to dispatch to, and returns opts carrying it
 // with the function that closes it when the campaign ends. Any other opts
@@ -252,13 +252,9 @@ func CampaignPool(opts Options, workers int) (Options, func(), error) {
 
 // poolDispatcher carries the per-run state the batch dispatch loop needs.
 type poolDispatcher struct {
-	s         *driver.Suite
-	opts      Options
-	pool      *pool.Pool
-	suiteSpan *obs.ActiveSpan
-	suiteTel  *bit.Telemetry
-	deadline  time.Duration
-	results   []CaseResult
+	*suiteRun
+	pool     *pool.Pool
+	deadline time.Duration
 }
 
 // release hands back a worker that finished its batch cleanly: to the idle
@@ -272,14 +268,15 @@ func (d *poolDispatcher) release(w *pool.Worker) {
 	d.pool.Release(w)
 }
 
-// runPooled executes the suite in child processes: cases are cut into
-// batches in suite order and dispatched to workers (one dispatcher per
+// runPooled executes the run's suite in child processes: cases are cut
+// into batches in suite order and dispatched to workers (one dispatcher per
 // Options.Parallelism), and each case's classification is the same under
 // either recycle policy — same outcomes, same details, same seeds, same
-// telemetry merge rule.
-func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTel *bit.Telemetry) ([]CaseResult, error) {
+// telemetry rule.
+func runPooled(r *suiteRun) error {
+	s, opts := r.s, r.opts
 	if len(s.Cases) == 0 {
-		return nil, nil // nil Results, as in process: one encoding per report
+		return nil // no records, as in process
 	}
 	if opts.Isolation == IsolateSubprocess {
 		// One case per batch on a private pool sized by Parallelism; the
@@ -291,7 +288,7 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 		var err error
 		p, err = NewWorkerPool(opts, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer p.Close()
 	}
@@ -299,22 +296,15 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	d := &poolDispatcher{
-		s:         s,
-		opts:      opts,
-		pool:      p,
-		suiteSpan: suiteSpan,
-		suiteTel:  suiteTel,
-		deadline:  isolationDeadline(opts),
-		results:   make([]CaseResult, len(s.Cases)),
-	}
+	r.recs = make([]CaseRecord, len(s.Cases))
+	d := &poolDispatcher{suiteRun: r, pool: p, deadline: isolationDeadline(opts)}
 	// Batch b holds cases [b*batchSize, (b+1)*batchSize), the last one short.
 	n := len(s.Cases)
 	_ = fanout.Run((n+batchSize-1)/batchSize, opts.Parallelism, nil, func(_ struct{}, b int) error {
 		d.dispatchBatch(b*batchSize, min((b+1)*batchSize, n))
 		return nil
 	})
-	return d.results, nil
+	return nil
 }
 
 // dispatchBatch runs cases [start, end) of the suite on pool workers. A
@@ -480,53 +470,21 @@ func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseR
 	}
 }
 
-// finishCase applies the per-case bookkeeping Run's in-process path does
-// in runOne: case + dispatch spans, child-span re-parenting, oracle
-// check (with harness-hook panic containment), telemetry merge (timeouts
-// contribute nothing), metrics, and the index-aligned result store.
+// finishCase ends case i of a pooled run: the case and dispatch spans, the
+// worker's piggybacked spans re-parented under the dispatch span, then the
+// per-case step the in-process path shares (suiteRun.finish).
 func (d *poolDispatcher) finishCase(i int, res CaseResult, exit string, sites []bit.SiteRecord, begin time.Time) {
 	tc := d.s.Cases[i]
-	caseSpan := d.opts.Trace.Start(d.suiteSpan.ID(), obs.KindCase, tc.ID)
-	caseSpan.SetAttr("transaction", tc.Transaction)
+	caseSpan := d.startCase(tc)
 	dispatch := d.opts.Trace.Start(caseSpan.ID(), obs.KindSpawn, tc.ID)
 	dispatch.SetAttr("exit", exit)
 	if d.opts.Trace != nil && exit == "ok" {
-		// Split the worker's piggybacked spans off Extra and re-parent them
-		// under the dispatch span; the report keeps the exact payload bytes
-		// an untraced run would have carried.
+		// Split the worker's piggybacked spans off Extra; the record keeps
+		// the exact payload bytes an untraced run would have carried.
 		payload, childSpans := obs.UnwrapExtra(res.Extra)
 		res.Extra = payload
 		d.opts.Trace.EmitChildren(dispatch.ID(), childSpans)
 	}
 	dispatch.End()
-	if d.opts.Oracle != nil && res.Outcome == OutcomePass {
-		// Oracle panics must become recorded per-case outcomes, never
-		// harness crashes — same containment as runCaseInner's hook guard.
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.Outcome = OutcomePanic
-					res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
-				}
-			}()
-			if err := d.opts.Oracle.Check(tc.ID, res.Transcript); err != nil {
-				res.Outcome = OutcomeOutputDiff
-				res.Detail = err.Error()
-			}
-		}()
-	}
-	if res.Outcome != OutcomeTimeout {
-		d.suiteTel.MergeRecords(sites)
-	}
-	caseSpan.SetAttr("outcome", res.Outcome.String())
-	if res.Method != "" {
-		caseSpan.SetAttr("method", res.Method)
-	}
-	caseSpan.End()
-	if d.opts.Metrics != nil {
-		d.opts.Metrics.Inc("case.total", 1)
-		d.opts.Metrics.Inc("case.outcome."+res.Outcome.String(), 1)
-		d.opts.Metrics.Observe("case.duration", tc.ID, time.Since(begin))
-	}
-	d.results[i] = res
+	d.finish(i, caseSpan, CaseRecord{Result: res, Sites: sites}, begin)
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -197,6 +198,36 @@ func TestLeakLedgerSharedAcrossRuns(t *testing.T) {
 	// The hung goroutines never finish, so they are still outstanding.
 	if ledger.Outstanding() != 2 {
 		t.Errorf("outstanding = %d, want 2", ledger.Outstanding())
+	}
+
+	// Concurrent runs on one ledger: each report counts its own abandoned
+	// case, not whatever else the ledger saw while it ran.
+	shared := sandbox.NewLedger()
+	opts.LeakLedger = shared
+	var wg sync.WaitGroup
+	abandoned := make([]int, 2)
+	errs := make([]error, 2)
+	for i := range abandoned {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := Run(chaosSuite(), &hangFactory{}, opts)
+			if errs[i] = err; err == nil {
+				abandoned[i] = rep.AbandonedGoroutines
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range abandoned {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if abandoned[i] != 1 {
+			t.Errorf("concurrent run %d: AbandonedGoroutines = %d, want 1", i, abandoned[i])
+		}
+	}
+	if shared.Abandoned() != 2 {
+		t.Errorf("concurrently shared ledger abandoned = %d, want 2", shared.Abandoned())
 	}
 }
 
