@@ -4,7 +4,6 @@ package main
 // rendering the coverage artifacts they write.
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 
 	"concat/internal/core"
 	"concat/internal/cover"
-	"concat/internal/impact"
 	"concat/internal/tfm"
 )
 
@@ -55,11 +53,6 @@ func cmdMutate(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	comp := t.New(nil)
-	suite, err := comp.GenerateSuite(gf.options())
-	if err != nil {
-		return err
-	}
 	var progress io.Writer
 	if *verbose {
 		progress = w
@@ -72,7 +65,7 @@ func cmdMutate(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.MutationRunOpts(t.Name, suite, splitMethods(*methods), progress,
+	c, err := t.Mutate(gf.options(), splitMethods(*methods), progress,
 		core.MutationOptions{Exec: session.opts, Store: st, Parallelism: *parallel})
 	if err := session.close(err); err != nil {
 		return err
@@ -81,18 +74,14 @@ func cmdMutate(fs *flag.FlagSet, args []string, w io.Writer) error {
 		// Stderr, not w: the rendered table must stay byte-identical with
 		// and without a cache.
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%s)\n",
-			res.CacheHits, res.CacheMisses, st.Dir())
+			c.Mutation.CacheHits, c.Mutation.CacheMisses, st.Dir())
 	}
-	table := res.Tabulate()
+	table := c.Mutation.Tabulate()
 	if err := table.Render(w); err != nil {
 		return err
 	}
 	if *coverPath != "" {
-		g, err := comp.Spec().TFM()
-		if err != nil {
-			return err
-		}
-		art, err := cover.FromCampaign(g, suite, res)
+		art, err := c.Coverage()
 		if err != nil {
 			return err
 		}
@@ -153,34 +142,23 @@ func cmdImpact(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	comp := t.New(nil)
-	r := &impact.Runner{
-		Factory:       comp.Factory,
-		Providers:     comp.Providers,
-		Gen:           gf.options(),
-		Exec:          session.opts,
-		Store:         st,
-		Parallelism:   *parallel,
-		MutantMethods: t.MutantMethods(),
-	}
-	res, err := r.Run(oldSpec, newSpec)
+	c, err := t.Impact(oldSpec, newSpec, gf.options(),
+		core.MutationOptions{Exec: session.opts, Store: st, Parallelism: *parallel})
 	if err := session.close(err); err != nil {
 		return fmt.Errorf("impact analysis of %q: %w", t.Name, err)
 	}
+	res := c.Impact
 	raw, err := res.Report.Encode()
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		if _, err := w.Write(raw); err != nil {
-			return err
-		}
+		_, err = w.Write(raw)
 	} else {
-		if err := res.Report.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s: %s\n", t.Name, res.Suite.Stats())
-		printReport(w, res.Final)
+		err = res.Render(w)
+	}
+	if err != nil {
+		return err
 	}
 	if *artifactPath != "" {
 		if err := os.WriteFile(*artifactPath, raw, 0o644); err != nil {
@@ -197,9 +175,7 @@ func cmdImpact(fs *flag.FlagSet, args []string, w io.Writer) error {
 		}
 	}
 	if *reportPath != "" {
-		var buf bytes.Buffer
-		printReport(&buf, res.Final)
-		if err := os.WriteFile(*reportPath, buf.Bytes(), 0o644); err != nil {
+		if err := writeOut(*reportPath, nil, res.Final.Render); err != nil {
 			return fmt.Errorf("writing final report: %w", err)
 		}
 	}

@@ -170,6 +170,11 @@ func cmdSubmit(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if gf.seed == 0 {
+		// omitempty drops a zero seed from the wire request, and the
+		// service resolves an absent seed to 42.
+		return usageError(fs.Name() + " cannot send -seed 0: the service reads seed 0 as its default 42")
+	}
 	body, err := json.Marshal(serve.Request{
 		Component:   component,
 		Methods:     splitMethods(*methods),

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 
 	"concat/internal/serve"
 	"concat/internal/store"
+	"concat/internal/tspec"
 )
 
 // startService runs the campaign service behind an httptest listener and
@@ -90,6 +93,12 @@ func TestCLISubmitErrors(t *testing.T) {
 	}
 	if _, err := runCLI(t, "submit", "-addr", url, "-component", "NoSuch"); err == nil {
 		t.Error("unknown component should fail")
+	}
+	// omitempty drops a zero seed and the service runs 42 in its place, so
+	// submit refuses it rather than report a different campaign.
+	if _, err := runCLI(t, "submit", "-addr", url, "-component", "Account", "-seed", "0"); err == nil ||
+		!strings.Contains(err.Error(), "default 42") {
+		t.Errorf("submit -seed 0: err = %v, want a usage error naming the service's default 42", err)
 	}
 	if _, err := runCLI(t, "status", "-addr", url, "-id", "zz"); err == nil {
 		t.Error("unknown campaign ID should fail")
@@ -230,4 +239,126 @@ func TestCLIWorkParallel(t *testing.T) {
 	if strings.Contains(stacks, ".cmdWork") {
 		t.Errorf("a cmdWork goroutine outlived the command:\n%s", stacks)
 	}
+}
+
+// TestCLIServiceIdentity: the CLI and the service run each campaign kind
+// through the same core step, so for one input they answer the same bytes.
+// The service's /coverage (and /impact) equal the CLI's artifact files, and
+// its /report equals the CLI's stdout without the " -> FILE" suffix that
+// -cover adds. Each side starts from a fresh store.
+func TestCLIServiceIdentity(t *testing.T) {
+	dir := t.TempDir()
+	newSpec := filepath.Join(dir, "new.json")
+	mustRunCLI(t, "spec", "-component", "Account", "-out", newSpec)
+	oldSpec := filepath.Join(dir, "old.json")
+	writePerturbedSpec(t, newSpec, oldSpec)
+	oldRaw, err := os.ReadFile(oldSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRaw, err := os.ReadFile(newSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, cov := filepath.Join(dir, "impact.json"), filepath.Join(dir, "cover.json")
+	tests := []struct {
+		name  string
+		args  []string
+		path  string
+		req   serve.Request
+		files map[string]string // service endpoint -> the CLI file it must equal
+	}{
+		{
+			name:  "mutation",
+			args:  []string{"mutate", "-component", "Account", "-expand", "-alt", "4", "-cover", cov},
+			path:  "/campaigns",
+			req:   serve.Request{Component: "Account", Expand: true, Alt: 4},
+			files: map[string]string{"coverage": cov},
+		},
+		{
+			name: "impact",
+			args: []string{"impact", "-old", oldSpec, "-new", newSpec, "-cache-dir", t.TempDir(),
+				"-artifact", art, "-cover", cov},
+			path:  "/impact",
+			req:   serve.Request{Component: "Account", OldSpec: oldRaw, NewSpec: newRaw},
+			files: map[string]string{"impact": art, "coverage": cov},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var stdout string
+			captureStderr(t, func() {
+				var err error
+				if stdout, err = runCLI(t, tt.args...); err != nil && !errors.Is(err, errSurvivors) {
+					t.Fatalf("concat %s: %v\n%s", strings.Join(tt.args, " "), err, stdout)
+				}
+			})
+			url := startService(t, serve.Config{Store: store.NewMem()})
+			body, err := json.Marshal(tt.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(url+tt.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("POST %s: HTTP %d", tt.path, resp.StatusCode)
+			}
+			if got, want := httpGet(t, url+"/campaigns/c1/report"), strings.Replace(stdout, " -> "+cov+"\n", "\n", 1); got != want {
+				t.Errorf("/report differs from the CLI's stdout:\n--- service ---\n%s\n--- cli ---\n%s", got, want)
+			}
+			for endpoint, path := range tt.files {
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := httpGet(t, url+"/campaigns/c1/"+endpoint); got != string(want) {
+					t.Errorf("/%s differs from the CLI's %s:\n--- service ---\n%s\n--- cli ---\n%s", endpoint, path, got, want)
+				}
+			}
+		})
+	}
+}
+
+// writePerturbedSpec writes the spec at src to dst with its first
+// non-degenerate range parameter domain collapsed to its low bound: an
+// earlier revision whose edit invalidates that method's cases.
+func writePerturbedSpec(t *testing.T, src, dst string) {
+	t.Helper()
+	spec, err := loadSpecFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range spec.Methods {
+		for j, p := range m.Params {
+			if p.Domain.Kind == tspec.DomRange && p.Domain.Lo != p.Domain.Hi {
+				spec.Methods[i].Params[j].Domain.Hi = p.Domain.Lo
+				if err := writeOut(dst, nil, spec.SaveJSON); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatalf("spec %s has no range parameter to perturb", spec.Class.Name)
+}
+
+// httpGet returns the body of a 200 response to GET url.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, body)
+	}
+	return string(body)
 }

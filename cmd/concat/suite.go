@@ -103,13 +103,6 @@ func writeOut(path string, w io.Writer, write func(io.Writer) error) error {
 	return err
 }
 
-func printReport(w io.Writer, rep *testexec.Report) {
-	fmt.Fprintln(w, rep.Summary())
-	for _, f := range rep.Failures() {
-		fmt.Fprintf(w, "  FAIL %s (%s): %s — %s\n", f.CaseID, f.Transaction, f.Outcome, f.Detail)
-	}
-}
-
 // writeArtifact encodes a coverage artifact canonically and writes it to
 // path, echoing the one-line summary to w.
 func writeArtifact(art *cover.Artifact, path string, w io.Writer) error {
@@ -281,7 +274,9 @@ func cmdRun(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err := session.close(err); err != nil {
 		return err
 	}
-	printReport(w, rep)
+	if err := rep.Render(w); err != nil {
+		return err
+	}
 	if !rep.AllPassed() {
 		return fmt.Errorf("%d test cases did not pass", len(rep.Failures()))
 	}
@@ -322,10 +317,9 @@ func cmdSelfTest(fs *flag.FlagSet, args []string, w io.Writer) error {
 		// The spec diffed against itself keeps every case: each replays
 		// from its per-case store entry, and a miss runs and records it —
 		// the entries `concat impact` reads.
-		r := &impact.Runner{Factory: comp.Factory, Providers: comp.Providers, Gen: gf.options(), Exec: session.opts, Store: st}
-		var res *impact.Result
-		if res, err = r.Run(comp.Spec(), comp.Spec()); err == nil {
-			suite, rep, cache = res.Suite, res.Final, res.Report
+		var c *core.Campaign
+		if c, err = t.Impact(comp.Spec(), comp.Spec(), gf.options(), core.MutationOptions{Exec: session.opts, Store: st}); err == nil {
+			suite, rep, cache = c.Suite, c.Impact.Final, c.Impact.Report
 		}
 	}
 	if err := session.close(err); err != nil {
@@ -336,7 +330,9 @@ func cmdSelfTest(fs *flag.FlagSet, args []string, w io.Writer) error {
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%s)\n", cache.CacheHits, cache.CacheMisses, st.Dir())
 	}
 	fmt.Fprintf(w, "%s: %s\n", t.Name, suite.Stats())
-	printReport(w, rep)
+	if err := rep.Render(w); err != nil {
+		return err
+	}
 	if *coverPath != "" {
 		g, err := comp.Spec().TFM()
 		if err != nil {
@@ -425,7 +421,9 @@ func cmdRegress(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	printReport(w, rep)
+	if err := rep.Render(w); err != nil {
+		return err
+	}
 	if !rep.AllPassed() {
 		return fmt.Errorf("regression detected: %d cases deviate from the recorded behaviour",
 			len(rep.Failures()))
@@ -465,7 +463,9 @@ func cmdSoak(fs *flag.FlagSet, args []string, w io.Writer) error {
 	if err := session.close(err); err != nil {
 		return err
 	}
-	printReport(w, rep)
+	if err := rep.Render(w); err != nil {
+		return err
+	}
 	if !rep.AllPassed() {
 		return fmt.Errorf("%d soak cases did not pass", len(rep.Failures()))
 	}

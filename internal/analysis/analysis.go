@@ -209,20 +209,24 @@ func (a *Analysis) Run(mutants []mutation.Mutant) (*Result, error) {
 		return nil, err
 	}
 	a.Engine.Deactivate()
-	// Under pool isolation the reference run and every mutant dispatch
-	// batches to one warm pool, so a provisioned worker executes many
-	// mutants between restarts (mutant-schemata-style amortization). Each
-	// batch carries its own isolation context, which is what re-arms the
-	// right mutant child-side. The run works on a copy of the analysis
-	// carrying the campaign's options.
-	exec, closePool, err := testexec.CampaignPool(a.Exec, a.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("mutation: building worker pool: %w", err)
+	// Under pool isolation with no pool given, the reference run and every
+	// mutant share one warm pool of PoolSize (else Parallelism) workers, so a
+	// worker executes many mutants between restarts; each batch's isolation
+	// context re-arms its mutant child-side. The run works on a copy.
+	if a.Exec.Isolation == testexec.IsolatePool && a.Exec.WorkerPool == nil {
+		size := a.Exec.PoolSize
+		if size <= 0 {
+			size = a.Parallelism
+		}
+		p, err := testexec.NewWorkerPool(a.Exec, size)
+		if err != nil {
+			return nil, fmt.Errorf("mutation: building worker pool: %w", err)
+		}
+		defer p.Close()
+		run := *a
+		run.Exec.WorkerPool = p
+		a = &run
 	}
-	defer closePool()
-	run := *a
-	run.Exec = exec
-	a = &run
 	// The campaign span roots the whole analysis: the reference run and
 	// every mutant hang under it. Trace/Metrics ride on a.Exec so the same
 	// Options plumbing reaches suites, cases and isolated children.
@@ -418,7 +422,7 @@ func (a *Analysis) execute(eng *mutation.Engine, factory component.Factory, m mu
 		}
 		opts.IsolationContext = raw
 	}
-	rep, err := testexec.Run(a.Suite, factory, opts)
+	recs, err := testexec.RunRecords(a.Suite, factory, opts)
 	if err != nil {
 		return MutantResult{}, 0, fmt.Errorf("mutation: mutant %s: %w", m.ID, err)
 	}
@@ -429,15 +433,16 @@ func (a *Analysis) execute(eng *mutation.Engine, factory component.Factory, m mu
 		// no flags — reaching a fault that kills the process still counts,
 		// but only via cases that lived to report, so fatal mutants rely on
 		// the crash kill, not the equivalence bookkeeping.
-		for _, caseRes := range rep.Results {
+		for _, rec := range recs {
 			var f CaseFlags
-			if len(caseRes.Extra) > 0 && json.Unmarshal(caseRes.Extra, &f) == nil {
+			if extra := rec.Result.Extra; len(extra) > 0 && json.Unmarshal(extra, &f) == nil {
 				res.Reached = res.Reached || f.Reached
 				res.Infected = res.Infected || f.Infected
 			}
 		}
 	}
-	for _, caseRes := range rep.Results {
+	for _, rec := range recs {
+		caseRes := rec.Result
 		refOutcome := golden.Outcomes[caseRes.CaseID]
 		switch {
 		case caseRes.Outcome == testexec.OutcomePanic && refOutcome != testexec.OutcomePanic.String():

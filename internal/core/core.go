@@ -219,14 +219,16 @@ func Registry() (*component.Registry, error) {
 	return reg, nil
 }
 
-// MutationOptions tune a mutation campaign beyond the defaults.
+// MutationOptions tune a campaign beyond the defaults. An impact run
+// (Target.Impact) reads only Exec, Parallelism and Store.
 type MutationOptions struct {
 	// Exec configures suite execution for the reference run and every mutant
 	// run: isolation mode, step budgets, transcript caps, timeouts. The
 	// Oracle is managed by the analysis; Providers are filled from the
 	// target when unset.
 	Exec testexec.Options
-	// Parallelism overrides the mutant-worker count; zero means GOMAXPROCS.
+	// Parallelism overrides the worker count (mutants, or an impact run's
+	// invalidated cases); zero means GOMAXPROCS.
 	Parallelism int
 	// Store, when enabled, caches mutant verdicts by content address so a
 	// warm re-run of the same campaign re-executes only mutants whose
@@ -259,6 +261,12 @@ func MutationRunOpts(targetName string, suite *driver.Suite, methods []string, p
 	if err != nil {
 		return nil, err
 	}
+	return t.analyze(suite, methods, progress, o)
+}
+
+// analyze runs the target's mutation campaign on suite: the analysis
+// MutationRunOpts and Mutate share.
+func (t Target) analyze(suite *driver.Suite, methods []string, progress io.Writer, o MutationOptions) (*analysis.Result, error) {
 	eng, err := t.engine()
 	if err != nil {
 		return nil, err

@@ -33,6 +33,7 @@ package impact
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -286,6 +287,18 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 		}
 	}
 	return &Result{Report: rep, Final: final, Coverage: art, Suite: newSuite}, nil
+}
+
+// Render writes the run as text: the impact table, the new suite's size,
+// and the final report.
+func (r *Result) Render(w io.Writer) error {
+	if err := r.Report.Render(w); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "%s: %s\n", r.Suite.Component, r.Suite.Stats()); err != nil {
+		return err
+	}
+	return r.Final.Render(w)
 }
 
 func (r *Runner) parallelism() int {

@@ -54,11 +54,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"concat/internal/analysis"
 	"concat/internal/core"
 	"concat/internal/cover"
 	"concat/internal/driver"
-	"concat/internal/impact"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/serve/chaos"
@@ -170,7 +168,7 @@ func (r Request) genOptions() driver.Options {
 }
 
 // execOptions resolves the request's execution knobs. Both the
-// coordinator's local path and remote shard workers build from this same
+// coordinator's run step and remote shard workers build from this same
 // base, and everything layered on top afterwards (tracing, metrics,
 // parallelism) is determinism-neutral and outside the verdict-store
 // fingerprint — which is what lets a worker's cache keys match the
@@ -1105,151 +1103,86 @@ func (s *Server) retry(j *Job, attempt int, cause error) {
 	}()
 }
 
-// runCampaign executes one job attempt, dispatching impact submissions to
-// the impact engine, distributed submissions to the shard coordinator
-// (work.go) and everything else to the local path. All three return the
-// same outcome.
+// runCampaign executes one job attempt of any kind: one run step, then one
+// render step.
 func (s *Server) runCampaign(j *Job) (outcome, error) {
-	if j.Req.Impact() {
-		return s.runImpact(j)
+	c, err := s.run(j)
+	if err != nil {
+		return outcome{}, err
 	}
-	if j.Req.Distributed {
-		return s.runDistributed(j)
-	}
-	return s.runLocal(j)
+	return s.render(c)
 }
 
-// runImpact is the impact-analysis path: diff the submission's two spec
-// revisions, re-execute only the invalidated cases (warm against the
-// server's store), and reassemble the final report and coverage artifact —
-// byte-identical to a cold full run of the new spec's suite. The job's
-// report is the rendered impact table plus the suite report and coverage
-// summary; the canonical impact artifact is served on /campaigns/{id}/impact.
-func (s *Server) runImpact(j *Job) (outcome, error) {
+// run runs the core step of the request's kind against the server's store,
+// traced into the job's stream. A distributed campaign first waits for its
+// shards (work.go); the mutation step then replays their verdicts warm.
+func (s *Server) run(j *Job) (*core.Campaign, error) {
+	if j.Req.Distributed {
+		if err := s.awaitShards(j); err != nil {
+			return nil, err
+		}
+	}
 	t, err := core.LookupTarget(j.Req.Component)
 	if err != nil {
-		return outcome{}, err
+		return nil, err
 	}
-	oldSpec, newSpec, err := j.Req.impactSpecs()
+	o := core.MutationOptions{Exec: j.Req.execOptions(), Parallelism: s.cfg.Parallelism, Store: s.store}
+	o.Exec.Trace = obs.NewTracer(j.trace)
+	o.Exec.Metrics = s.metrics
+	var c *core.Campaign
+	if j.Req.Impact() {
+		var oldSpec, newSpec *tspec.Spec
+		if oldSpec, newSpec, err = j.Req.impactSpecs(); err == nil {
+			c, err = t.Impact(oldSpec, newSpec, j.Req.genOptions(), o)
+		}
+	} else {
+		c, err = t.Mutate(j.Req.genOptions(), j.Req.Methods, nil, o)
+	}
 	if err != nil {
-		return outcome{}, err
+		return nil, err
 	}
-	comp := t.New(nil)
-	exec := j.Req.execOptions()
-	exec.Trace = obs.NewTracer(j.trace)
-	exec.Metrics = s.metrics
-	r := &impact.Runner{
-		Factory:       comp.Factory,
-		Providers:     comp.Providers,
-		Gen:           j.Req.genOptions(),
-		Exec:          exec,
-		Store:         s.store,
-		Parallelism:   s.cfg.Parallelism,
-		MutantMethods: t.MutantMethods(),
-	}
-	res, err := r.Run(oldSpec, newSpec)
-	if err != nil {
-		return outcome{}, err
-	}
-	if err := exec.Trace.Err(); err != nil {
-		return outcome{}, err
-	}
-	s.metrics.Inc("impact.kept", int64(res.Report.Kept))
-	s.metrics.Inc("impact.rerun", int64(res.Report.Rerun))
-	s.metrics.Inc("impact.regenerated", int64(res.Report.Regenerated))
-	out := outcome{coverage: res.Coverage.Suite, counts: Status{
-		Kept:        res.Report.Kept,
-		Rerun:       res.Report.Rerun,
-		Regenerated: res.Report.Regenerated,
-		CacheHits:   res.Report.CacheHits,
-		CacheMisses: res.Report.CacheMisses,
-		Coverage:    res.Coverage.Suite.Summary(),
-	}}
-	if out.artifact, err = res.Coverage.Encode(); err != nil {
-		return outcome{}, err
-	}
-	if out.impact, err = res.Report.Encode(); err != nil {
-		return outcome{}, err
-	}
-	var buf strings.Builder
-	if err := res.Report.Render(&buf); err != nil {
-		return outcome{}, err
-	}
-	fmt.Fprintf(&buf, "%s: %s\n", j.Req.Component, res.Suite.Stats())
-	fmt.Fprintln(&buf, res.Final.Summary())
-	for _, f := range res.Final.Failures() {
-		fmt.Fprintf(&buf, "  FAIL %s (%s): %s — %s\n", f.CaseID, f.Transaction, f.Outcome, f.Detail)
-	}
-	fmt.Fprintln(&buf, out.counts.Coverage)
-	out.report = []byte(buf.String())
-	return out, nil
+	return c, o.Exec.Trace.Err()
 }
 
-// runLocal is the single-process campaign path. It doubles as the
-// deterministic merge of a distributed campaign: once every shard has
-// published its verdicts into the shared store, this same code re-runs the
-// full campaign warm — all cache hits — and renders the byte-identical
-// report and coverage artifact a single process would have produced.
-func (s *Server) runLocal(j *Job) (outcome, error) {
-	exec := j.Req.execOptions()
-	exec.Trace = obs.NewTracer(j.trace)
-	exec.Metrics = s.metrics
-	t, suite, res, err := j.Req.campaign(core.MutationOptions{
-		Exec:        exec,
-		Parallelism: s.cfg.Parallelism,
-		Store:       s.store,
-	})
+// render lays a finished campaign out as the job's outcome: the report is
+// the text the CLI prints for the same campaign plus the coverage summary
+// line, the artifact is the CLI's -cover bytes, and an impact run adds its
+// canonical impact artifact and partition counts.
+func (s *Server) render(c *core.Campaign) (outcome, error) {
+	art, err := c.Coverage()
 	if err != nil {
 		return outcome{}, err
 	}
-	if err := exec.Trace.Err(); err != nil {
-		return outcome{}, err
-	}
-	g, err := t.New(nil).Spec().TFM()
-	if err != nil {
-		return outcome{}, err
-	}
-	art, err := cover.FromCampaign(g, suite, res)
-	if err != nil {
-		return outcome{}, err
-	}
-	tab := res.Tabulate()
-	out := outcome{coverage: art.Suite, counts: Status{
-		Mutants:     tab.Total.Mutants,
-		Killed:      tab.Total.Killed,
-		Equivalent:  tab.Total.Equivalent,
-		Survivors:   tab.Total.Mutants - tab.Total.Killed - tab.Total.Equivalent,
-		CacheHits:   res.CacheHits,
-		CacheMisses: res.CacheMisses,
-		Coverage:    art.Suite.Summary(),
-	}}
+	out := outcome{coverage: art.Suite, counts: Status{Coverage: art.Suite.Summary()}}
 	if out.artifact, err = art.Encode(); err != nil {
 		return outcome{}, err
 	}
-	var buf strings.Builder
-	if err := tab.Render(&buf); err != nil {
+	st := &out.counts
+	var buf bytes.Buffer
+	if res := c.Impact; res != nil {
+		rep := res.Report
+		st.Kept, st.Rerun, st.Regenerated = rep.Kept, rep.Rerun, rep.Regenerated
+		st.CacheHits, st.CacheMisses = rep.CacheHits, rep.CacheMisses
+		s.metrics.Inc("impact.kept", int64(rep.Kept))
+		s.metrics.Inc("impact.rerun", int64(rep.Rerun))
+		s.metrics.Inc("impact.regenerated", int64(rep.Regenerated))
+		if out.impact, err = rep.Encode(); err == nil {
+			err = res.Render(&buf)
+		}
+	} else {
+		tab := c.Mutation.Tabulate()
+		tot := tab.Total
+		st.Mutants, st.Killed, st.Equivalent = tot.Mutants, tot.Killed, tot.Equivalent
+		st.Survivors = tot.Mutants - tot.Killed - tot.Equivalent
+		st.CacheHits, st.CacheMisses = c.Mutation.CacheHits, c.Mutation.CacheMisses
+		err = tab.Render(&buf)
+	}
+	if err != nil {
 		return outcome{}, err
 	}
-	fmt.Fprintln(&buf, out.counts.Coverage)
-	out.report = []byte(buf.String())
+	fmt.Fprintln(&buf, st.Coverage)
+	out.report = buf.Bytes()
 	return out, nil
-}
-
-// campaign generates the request's suite and runs the request's mutation
-// campaign on it through core under o: the one call the coordinator's
-// local path and a remote shard worker share, so both derive the same
-// suite and, from the same execOptions base, the same verdict-store keys.
-func (r Request) campaign(o core.MutationOptions) (core.Target, *driver.Suite, *analysis.Result, error) {
-	t, err := core.LookupTarget(r.Component)
-	if err != nil {
-		return t, nil, nil, err
-	}
-	suite, err := t.New(nil).GenerateSuite(r.genOptions())
-	if err != nil {
-		return t, nil, nil, err
-	}
-	res, err := core.MutationRunOpts(r.Component, suite, r.Methods, nil, o)
-	return t, suite, res, err
 }
 
 // Handler returns the HTTP API:

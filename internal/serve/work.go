@@ -1,7 +1,7 @@
 // Distributed campaigns, coordinator side. A distributed job's mutants are
 // split into shards by their deterministic enumeration index; remote
 // `concat work` processes lease shards over POST /work/lease, execute them
-// with the same campaign machinery the local path uses, publish every
+// with the same core mutation step the coordinator runs, publish every
 // verdict into the shared verdict store, and report completion. Each shard
 // is a child row of the job's attempt in the server's one lease table
 // (lease.go): a worker that dies or wedges loses its lease, the shard is
@@ -10,8 +10,8 @@
 // granted under an attempt the job lease has since retired — is refused.
 //
 // The merge is deterministic by construction: once every shard has
-// landed, the coordinator re-runs the full campaign warm against the store
-// (runLocal), where every mutant verdict replays as a cache hit. Because
+// landed, the coordinator runs the job's ordinary run step, warm against
+// the store, where every mutant verdict replays as a cache hit. Because
 // cached replay is byte-identical to execution, a 2-worker run's report and
 // coverage artifact are byte-identical to a single-process run's — the
 // fleet changes wall-clock time, never results. The merge also self-heals:
@@ -73,31 +73,31 @@ func (s *Server) leaseShard(now time.Time) (ShardLease, bool) {
 	return lease, true
 }
 
-// runDistributed coordinates one distributed campaign attempt: open the
-// attempt's shard rows, wait for workers to complete them, then merge by
-// running the campaign warm against the shared store. Retiring the attempt
+// awaitShards is a distributed attempt's prelude: open the attempt's shard
+// rows and wait for workers to complete them. The merge is the attempt's
+// ordinary run step, warm against the shared store. Retiring the attempt
 // (its job lease concluded or reclaimed) retires the shards and wakes the
 // wait, so a reclaimed attempt never outlives its lease here.
-func (s *Server) runDistributed(j *Job) (outcome, error) {
+func (s *Server) awaitShards(j *Job) error {
 	if !store.Enabled(s.cfg.Store) {
-		return outcome{}, errors.New("serve: distributed campaigns require a verdict store")
+		return errors.New("serve: distributed campaigns require a verdict store")
 	}
 	count := j.Req.shardCount()
 	sh, ok := s.leases.openShards(j.ID, count)
 	if !ok {
-		return outcome{}, fmt.Errorf("serve: %s: attempt no longer holds its lease", j.ID)
+		return fmt.Errorf("serve: %s: attempt no longer holds its lease", j.ID)
 	}
 	s.logf("serve: %s distributed across %d shard(s), lease %s", j.ID, count, s.cfg.shardLease())
 	select {
 	case <-sh.wake:
 	case <-s.stop:
-		return outcome{}, errors.New("serve: shutdown during distributed campaign")
+		return errors.New("serve: shutdown during distributed campaign")
 	}
 	if sh.failure != "" {
-		return outcome{}, fmt.Errorf("serve: %s: %s", j.ID, sh.failure)
+		return fmt.Errorf("serve: %s: %s", j.ID, sh.failure)
 	}
 	s.logf("serve: %s all %d shard(s) complete; merging warm from the store", j.ID, count)
-	return s.runLocal(j)
+	return nil
 }
 
 // handleWorkLease hands one shard to an asking worker, 204 when no work is

@@ -1,6 +1,6 @@
 // Distributed campaigns, worker side: the engine behind `concat work`. A
 // Worker polls its coordinator for shard leases, executes each shard with
-// the exact campaign machinery the coordinator's local path uses — same
+// the core mutation step the coordinator's run step calls — same
 // suite generation, same execution options, so its verdict-store keys
 // match the coordinator's byte for byte — publishes every verdict into the
 // shared store as it runs, and reports completion with the lease's epoch
@@ -186,7 +186,7 @@ func (w *Worker) complete(ctx context.Context, lease ShardLease, runErr error) e
 // RunShard executes one shard of a distributed campaign: the mutants of
 // req whose enumeration index is congruent to shard mod shards, publishing
 // every verdict into backend. The suite and execution options derive from
-// req exactly as the coordinator's local path derives them, so the cache
+// req exactly as the coordinator's run step derives them, so the cache
 // keys match and the coordinator's merge replays these verdicts as hits.
 func RunShard(req Request, shard, shards, parallelism int, backend store.Backend) error {
 	if shards < 1 || shard < 0 || shard >= shards {
@@ -195,7 +195,11 @@ func RunShard(req Request, shard, shards, parallelism int, backend store.Backend
 	if !store.Enabled(backend) {
 		return fmt.Errorf("serve: shard execution requires a verdict store")
 	}
-	_, _, _, err := req.campaign(core.MutationOptions{
+	t, err := core.LookupTarget(req.Component)
+	if err != nil {
+		return err
+	}
+	_, err = t.Mutate(req.genOptions(), req.Methods, nil, core.MutationOptions{
 		Exec:        req.execOptions(),
 		Parallelism: parallelism,
 		Store:       backend,

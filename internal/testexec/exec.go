@@ -230,6 +230,17 @@ func (r *Report) Summary() string {
 	return fmt.Sprintf("%s: %d cases (%s)", r.Component, len(r.Results), strings.Join(parts, ", "))
 }
 
+// Render writes the summary line and one FAIL line per non-passing case.
+func (r *Report) Render(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintln(&b, r.Summary())
+	for _, f := range r.Failures() {
+		fmt.Fprintf(&b, "  FAIL %s (%s): %s — %s\n", f.CaseID, f.Transaction, f.Outcome, f.Detail)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // Result returns the result for a case ID. The first call builds a
 // CaseID index over Results (first occurrence wins, matching the old
 // linear scan), so repeated lookups are O(1). Call it only once the report

@@ -202,7 +202,8 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 // worker argv from Options.IsolationCommand (defaulting to re-executing
 // this binary with `run-case`) and setting ServerEnv. size <= 0 falls back
 // to Options.PoolSize, then Options.Parallelism, then 1. A campaign that
-// shares one pool across many IsolatePool runs gets it from CampaignPool.
+// shares one pool across many IsolatePool runs passes it in
+// Options.WorkerPool.
 func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 	argv := opts.IsolationCommand
 	if len(argv) == 0 {
@@ -226,28 +227,6 @@ func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 		Env:  append([]string{ServerEnv + "=" + BatchServerValue}, opts.IsolationEnv...),
 		Size: size,
 	})
-}
-
-// CampaignPool applies the warm-pool rule of a campaign that makes many
-// Run calls (a mutation analysis): under IsolatePool
-// with no WorkerPool given, it builds one pool of PoolSize workers (else
-// workers) for every run to dispatch to, and returns opts carrying it
-// with the function that closes it when the campaign ends. Any other opts
-// come back unchanged with a no-op close.
-func CampaignPool(opts Options, workers int) (Options, func(), error) {
-	if opts.Isolation != IsolatePool || opts.WorkerPool != nil {
-		return opts, func() {}, nil
-	}
-	size := opts.PoolSize
-	if size <= 0 {
-		size = workers
-	}
-	p, err := NewWorkerPool(opts, size)
-	if err != nil {
-		return opts, nil, err
-	}
-	opts.WorkerPool = p
-	return opts, p.Close, nil
 }
 
 // poolDispatcher carries the per-run state the batch dispatch loop needs.
